@@ -43,8 +43,8 @@
 //     exact-dimension cost tables for AlexNet (61.0M parameters), VGG-19
 //     (143.7M) and GoogleNet (7.0M);
 //   - seeded synthetic MNIST/CIFAR/ImageNet-shaped datasets (the real
-//     downloads are unavailable offline; DESIGN.md documents the
-//     substitution);
+//     downloads are unavailable offline, so seeded stand-ins with the
+//     same geometry and learnable class structure replace them);
 //   - a deterministic discrete-event simulator with α-β network models
 //     (Table 2's InfiniBand constants), GPU/PCIe and KNL/Aries hardware
 //     models, MCDRAM modes and cluster modes;

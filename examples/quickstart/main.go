@@ -13,8 +13,9 @@ import (
 )
 
 func main() {
-	// Synthetic MNIST-shaped data (the real dataset is substituted per
-	// DESIGN.md; geometry and learnability match).
+	// Synthetic MNIST-shaped data: the real dataset cannot be downloaded
+	// offline, so a seeded stand-in with the same geometry and learnable
+	// class structure replaces it.
 	train, test := scaledl.SyntheticMNIST(1, 2048, 512)
 
 	cfg := scaledl.Config{

@@ -25,14 +25,14 @@ func (l *ReLU) ParamCount() int              { return 0 }
 func (l *ReLU) Bind(params, grads []float32) {}
 func (l *ReLU) Init(g *tensor.RNG)           {}
 
+// Forward and Backward select with a bit mask instead of a branch: the sign
+// of an activation is data-dependent, so a branch mispredicts on about half
+// the elements. The mask is all ones exactly when the comparison holds, so
+// NaN, ±0 and negatives still yield +0.
 func (l *ReLU) Forward(x []float32, b int, train bool) []float32 {
 	out := buf(&l.outBuf, len(x))
 	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
+		out[i] = math.Float32frombits(math.Float32bits(v) & positiveMask(v))
 	}
 	l.lastB = b
 	return out
@@ -40,14 +40,21 @@ func (l *ReLU) Forward(x []float32, b int, train bool) []float32 {
 
 func (l *ReLU) Backward(dy []float32, b int) []float32 {
 	dx := buf(&l.dxBuf, len(dy))
+	y := l.outBuf[:len(dy)]
 	for i, v := range dy {
-		if l.outBuf[i] > 0 {
-			dx[i] = v
-		} else {
-			dx[i] = 0
-		}
+		dx[i] = math.Float32frombits(math.Float32bits(v) & positiveMask(y[i]))
 	}
 	return dx
+}
+
+// positiveMask is all ones when v > 0 and zero otherwise (NaN included).
+// The compiler lowers the conditional assignment to a conditional move.
+func positiveMask(v float32) uint32 {
+	var m uint32
+	if v > 0 {
+		m = ^uint32(0)
+	}
+	return m
 }
 
 func (l *ReLU) FwdFLOPsPerSample() int64 { return int64(l.in.Dim()) }

@@ -18,6 +18,11 @@ type Conv2D struct {
 	filters, kernel int
 	stride, pad     int
 
+	// noInputGrad is set by NetDef.Build on a network's first layer, whose
+	// dL/dx nothing reads: Backward then computes only the parameter
+	// gradients and returns nil.
+	noInputGrad bool
+
 	w, b   []float32 // views into packed params: w is F×(C·k·k), b is F
 	dw, db []float32 // views into packed grads
 
@@ -142,12 +147,10 @@ func (l *Conv2D) Backward(dy []float32, b int) []float32 {
 	if l.lastB != b {
 		panic("nn: conv Backward batch mismatch with Forward")
 	}
-	inDim := l.in.Dim()
 	cs := l.colSize()
 	kcc := l.in.C * l.kernel * l.kernel
-	dx := buf(&l.dxBuf, b*inDim)
-	for i := range dx {
-		dx[i] = 0
+	if !l.noInputGrad {
+		clear(buf(&l.dxBuf, b*l.in.Dim()))
 	}
 	l.chunks = par.AppendChunkRanges(l.chunks[:0], b)
 	l.ensureScratch(len(l.chunks), kcc, cs)
@@ -163,11 +166,15 @@ func (l *Conv2D) Backward(dy []float32, b int) []float32 {
 		tensor.AXPY(1, l.partialDW[w], l.dw)
 		tensor.AXPY(1, l.partialDB[w], l.db)
 	}
-	return dx
+	if l.noInputGrad {
+		return nil
+	}
+	return l.dxBuf
 }
 
-// backwardChunk accumulates one batch chunk's weight/bias partials and its
-// slice of dX; the upstream gradient rides in l.bwdDY.
+// backwardChunk accumulates one batch chunk's weight/bias partials and,
+// unless the input gradient is elided, its slice of dX; the upstream
+// gradient rides in l.bwdDY.
 func (l *Conv2D) backwardChunk(w int) {
 	inDim, outDim := l.in.Dim(), l.out.Dim()
 	cs := l.colSize()
@@ -198,6 +205,9 @@ func (l *Conv2D) backwardChunk(w int) {
 				s += vv
 			}
 			pdb[f] += s
+		}
+		if l.noInputGrad {
+			continue
 		}
 		// dcols = Wᵀ · dy ; dx += col2im(dcols)
 		dcm := view(&v[2], dcols[:cs], kcc, spatial)

@@ -51,7 +51,9 @@ type Net struct {
 }
 
 // Build instantiates a network from its definition with Xavier-initialized
-// weights drawn from the given seed.
+// weights drawn from the given seed. The input gradient of the first layer
+// has no consumer, so a first-layer convolution is built to skip computing
+// it: its Backward returns nil (see Layer.Backward).
 func (d NetDef) Build(seed int64) *Net {
 	layers := make([]Layer, 0, len(d.Specs))
 	shape := d.In
@@ -59,6 +61,11 @@ func (d NetDef) Build(seed int64) *Net {
 		l := buildLayer(shape, s)
 		layers = append(layers, l)
 		shape = l.OutShape()
+	}
+	if len(layers) > 0 {
+		if c, ok := layers[0].(*Conv2D); ok {
+			c.noInputGrad = true
+		}
 	}
 	if shape.Dim() != d.Classes {
 		panic(fmt.Sprintf("nn: %s final shape %v does not match %d classes", d.Name, shape, d.Classes))
@@ -245,7 +252,7 @@ func (n *Net) FwdFLOPsPerSample() int64 {
 }
 
 // TrainFLOPsPerSample estimates forward+backward cost with the standard
-// 1:2 fwd:bwd ratio.
+// 1:2 fwd:bwd ratio; see Layer.FwdFLOPsPerSample for the measured ratio.
 func (n *Net) TrainFLOPsPerSample() int64 { return 3 * n.FwdFLOPsPerSample() }
 
 // Cost exposes the network as a ModelCost for the simulator, so real

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"scaledl/internal/tensor"
 )
@@ -81,6 +82,19 @@ func (l *Pool2D) Forward(x []float32, b int, train bool) []float32 {
 		}
 		l.argmax = l.argmax[:b*outDim]
 	}
+	if l.kind == MaxPool && l.kernel == 2 && l.stride == 2 && l.pad == 0 {
+		l.maxPool2x2(x, out, b, train)
+	} else {
+		l.forwardGeneric(x, out, b, train)
+	}
+	l.lastB = b
+	return out
+}
+
+// forwardGeneric is Forward for any geometry: padded windows skip their
+// out-of-bounds taps.
+func (l *Pool2D) forwardGeneric(x, out []float32, b int, train bool) {
+	inDim, outDim := l.in.Dim(), l.out.Dim()
 	h, w := l.in.H, l.in.W
 	oh, ow := l.out.H, l.out.W
 	for i := 0; i < b; i++ {
@@ -149,8 +163,67 @@ func (l *Pool2D) Forward(x []float32, b int, train bool) []float32 {
 			}
 		}
 	}
-	l.lastB = b
-	return out
+}
+
+// maxPool2x2 is Forward for the unpadded 2×2/stride-2 max pool, the
+// geometry of LeNet and TinyCNN, where the generic loop's per-tap bounds
+// checks and data-dependent branches dominate. Each output row is made from
+// a pair of input rows by maxPoolRow2x2.
+func (l *Pool2D) maxPool2x2(x, out []float32, b int, train bool) {
+	h, w := l.in.H, l.in.W
+	oh, ow := l.out.H, l.out.W
+	var am []int32
+	for p := 0; p < b*l.in.C; p++ {
+		plane := x[p*h*w : (p+1)*h*w]
+		for oy := 0; oy < oh; oy++ {
+			o := (p*oh + oy) * ow
+			if train {
+				am = l.argmax[o : o+ow]
+			}
+			y0 := 2 * oy * w
+			maxPoolRow2x2(out[o:o+ow], am, plane[y0:y0+w], plane[y0+w:y0+2*w], int32(y0), int32(w))
+		}
+	}
+}
+
+// maxPoolRow2x2 writes one output row of a 2×2/stride-2 max pool from input
+// rows r0 and r1, which start at index base of their plane and are w wide.
+// It reads the four taps in the generic loop's order and updates value and
+// argmax on a strict > through conditional moves (maxTap): the first maximum
+// wins ties, a leading NaN sticks and a later NaN never wins, exactly as in the
+// generic loop. An odd trailing column is outside every window, as there.
+// A nil am skips recording the argmax.
+func maxPoolRow2x2(out []float32, am []int32, r0, r1 []float32, base, w int32) {
+	r0 = r0[:2*len(out)]
+	r1 = r1[:len(r0)]
+	o := 0
+	for x := 1; x < len(r0); x += 2 {
+		i := base + int32(x) - 1
+		best, bi := r0[x-1], i
+		best, bi = maxTap(best, bi, r0[x], i+1)
+		best, bi = maxTap(best, bi, r1[x-1], i+w)
+		best, bi = maxTap(best, bi, r1[x], i+w+1)
+		out[o] = best
+		if am != nil {
+			am[o] = bi
+		}
+		o++
+	}
+}
+
+// maxTap returns (v, vi) when v > best and (best, bi) otherwise, without a
+// branch: the compiler lowers an if that assigns a single integer variable
+// to a conditional move, so the value is selected as its bits and each
+// assignment sits under its own if.
+func maxTap(best float32, bi int32, v float32, vi int32) (float32, int32) {
+	bb, vb := math.Float32bits(best), math.Float32bits(v)
+	if v > best {
+		bb = vb
+	}
+	if v > best {
+		bi = vi
+	}
+	return math.Float32frombits(bb), bi
 }
 
 func (l *Pool2D) Backward(dy []float32, b int) []float32 {
@@ -159,11 +232,22 @@ func (l *Pool2D) Backward(dy []float32, b int) []float32 {
 	}
 	inDim, outDim := l.in.Dim(), l.out.Dim()
 	dx := buf(&l.dxBuf, b*inDim)
-	for i := range dx {
-		dx[i] = 0
-	}
+	clear(dx)
 	h, w := l.in.H, l.in.W
 	oh, ow := l.out.H, l.out.W
+	if l.kind == MaxPool {
+		// Scatter each output's gradient to the tap that won its window.
+		for p := 0; p < b*l.in.C; p++ {
+			dxPlane := dx[p*h*w : (p+1)*h*w]
+			am := l.argmax[p*oh*ow : (p+1)*oh*ow]
+			for j, g := range dy[p*oh*ow : (p+1)*oh*ow] {
+				if idx := am[j]; idx >= 0 {
+					dxPlane[idx] += g
+				}
+			}
+		}
+		return dx
+	}
 	for i := 0; i < b; i++ {
 		for c := 0; c < l.in.C; c++ {
 			dxPlane := dx[i*inDim+c*h*w : i*inDim+(c+1)*h*w]
@@ -171,52 +255,45 @@ func (l *Pool2D) Backward(dy []float32, b int) []float32 {
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
 					g := dyPlane[oy*ow+ox]
-					switch l.kind {
-					case MaxPool:
-						if idx := l.argmax[i*outDim+c*oh*ow+oy*ow+ox]; idx >= 0 {
-							dxPlane[idx] += g
+					y0, x0 := oy*l.stride-l.pad, ox*l.stride-l.pad
+					cnt := 0
+					for ky := 0; ky < l.kernel; ky++ {
+						yy := y0 + ky
+						if yy < 0 {
+							continue
 						}
-					case AvgPool:
-						y0, x0 := oy*l.stride-l.pad, ox*l.stride-l.pad
-						cnt := 0
-						for ky := 0; ky < l.kernel; ky++ {
-							yy := y0 + ky
-							if yy < 0 {
+						if yy >= h {
+							break
+						}
+						for kx := 0; kx < l.kernel; kx++ {
+							xx := x0 + kx
+							if xx < 0 {
 								continue
 							}
-							if yy >= h {
+							if xx >= w {
 								break
 							}
-							for kx := 0; kx < l.kernel; kx++ {
-								xx := x0 + kx
-								if xx < 0 {
-									continue
-								}
-								if xx >= w {
-									break
-								}
-								cnt++
-							}
+							cnt++
 						}
-						share := g / float32(cnt)
-						for ky := 0; ky < l.kernel; ky++ {
-							yy := y0 + ky
-							if yy < 0 {
+					}
+					share := g / float32(cnt)
+					for ky := 0; ky < l.kernel; ky++ {
+						yy := y0 + ky
+						if yy < 0 {
+							continue
+						}
+						if yy >= h {
+							break
+						}
+						for kx := 0; kx < l.kernel; kx++ {
+							xx := x0 + kx
+							if xx < 0 {
 								continue
 							}
-							if yy >= h {
+							if xx >= w {
 								break
 							}
-							for kx := 0; kx < l.kernel; kx++ {
-								xx := x0 + kx
-								if xx < 0 {
-									continue
-								}
-								if xx >= w {
-									break
-								}
-								dxPlane[yy*w+xx] += share
-							}
+							dxPlane[yy*w+xx] += share
 						}
 					}
 				}

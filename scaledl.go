@@ -162,7 +162,8 @@ func VGG19Cost() ModelCost     { return nn.VGG19Cost() }
 func GoogleNetCost() ModelCost { return nn.GoogleNetCost() }
 
 // Datasets. The paper's Table 1 geometries with synthetic, learnable,
-// seeded content (see DESIGN.md for the substitution rationale).
+// seeded content: the real datasets cannot be downloaded offline, and the
+// experiments need only their geometry and a learnable class structure.
 
 // SyntheticMNIST returns normalized train/test sets with MNIST geometry
 // (1×28×28, 10 classes).

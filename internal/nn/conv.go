@@ -12,6 +12,12 @@ import (
 // Forward and backward parallelize across the batch dimension on the shared
 // par pool with a fixed chunk assignment and a fixed-order partial-gradient
 // merge, so results are bit-deterministic for a given par.Width().
+//
+// Every image runs its own GEMM against the same weight matrix, so each
+// pass packs that operand once (W in Forward, Wᵀ for the dX product in
+// Backward) before fanning out, and the chunks read the shared panels.
+// Packing does no arithmetic, so the results match per-image packing bit
+// for bit.
 type Conv2D struct {
 	name            string
 	in, out         Shape
@@ -44,6 +50,7 @@ type Conv2D struct {
 	// read the call's inputs from fwdX/bwdDY and wrap matrices through
 	// per-chunk view slots (fwdV, bwdV) plus the shared weight view wV.
 	wV    tensor.Tensor
+	wPack tensor.PackedA     // wV packed for this pass: W in Forward, Wᵀ in Backward
 	fwdV  [][2]tensor.Tensor // per-chunk {cols, out} views
 	bwdV  [][4]tensor.Tensor // per-chunk {dy, cols, dcols, partialDW} views
 	fwdX  []float32
@@ -111,7 +118,7 @@ func (l *Conv2D) Forward(x []float32, b int, train bool) []float32 {
 	kcc := l.in.C * l.kernel * l.kernel
 	l.chunks = par.AppendChunkRanges(l.chunks[:0], b)
 	l.ensureViews(len(l.chunks))
-	view(&l.wV, l.w, l.filters, kcc)
+	l.wPack.Pack(view(&l.wV, l.w, l.filters, kcc), false)
 	l.fwdX = x
 	if l.fwdFn == nil {
 		l.fwdFn = l.forwardChunk
@@ -139,7 +146,7 @@ func (l *Conv2D) forwardChunk(c int) {
 		om := view(&v[1], l.outBuf[i*outDim:(i+1)*outDim], l.filters, spatial)
 		// Per-filter bias rides in the GEMM store epilogue instead of a
 		// second pass over the output.
-		tensor.MatMulBiasRow(om, &l.wV, cm, l.b)
+		l.wPack.MatMulBiasRow(om, cm, l.b)
 	}
 }
 
@@ -155,7 +162,9 @@ func (l *Conv2D) Backward(dy []float32, b int) []float32 {
 	l.chunks = par.AppendChunkRanges(l.chunks[:0], b)
 	l.ensureScratch(len(l.chunks), kcc, cs)
 	l.ensureViews(len(l.chunks))
-	view(&l.wV, l.w, l.filters, kcc)
+	if !l.noInputGrad {
+		l.wPack.Pack(view(&l.wV, l.w, l.filters, kcc), true)
+	}
 	l.bwdDY = dy
 	if l.bwdFn == nil {
 		l.bwdFn = l.backwardChunk
@@ -211,7 +220,7 @@ func (l *Conv2D) backwardChunk(w int) {
 		}
 		// dcols = Wᵀ · dy ; dx += col2im(dcols)
 		dcm := view(&v[2], dcols[:cs], kcc, spatial)
-		tensor.MatMulTransA(dcm, &l.wV, dyi)
+		l.wPack.MatMul(dcm, dyi)
 		tensor.Col2im(l.dxBuf[i*inDim:(i+1)*inDim], dcols, l.in.C, l.in.H, l.in.W, l.kernel, l.kernel, l.stride, l.pad)
 	}
 }

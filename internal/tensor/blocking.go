@@ -81,8 +81,9 @@ func blockingFor(mr, nr int) Blocking {
 // the l1Budget with 4-byte elements (2·64²·4 B = 32 KiB).
 const transposeBlock = 64
 
-// transposeStrip is the source-row strip Transpose moves per sweep; it must
-// match the literal r0..r3 unroll in Transpose.
+// transposeStrip is the source-row strip Transpose moves per sweep, and the
+// row/column strip of the transposing packers (pack.go); it must match the
+// literal four-way unroll in all of them.
 const transposeStrip = 4
 
 // im2colSrcBudget is the Im2col/Col2im tap-blocking threshold: when the

@@ -4,7 +4,11 @@
 // row-major, and every matrix product funnels into one packed,
 // register-tiled GEMM engine (gemm.go, pack.go, microkernel.go) built on
 // the BLIS blocking hierarchy — MC/KC/NC cache blocks around an MR×NR
-// register tile, with operand transposition absorbed at pack time.
+// register tile, with operand transposition absorbed at pack time. An A
+// operand shared by many products (a conv layer's weights, multiplied by
+// every image's columns) may arrive pre-packed (PackedA): laid out once in
+// the engine's panel format, then read by each product in place of its own
+// A packing.
 //
 // # Kernel tiers
 //
@@ -40,6 +44,10 @@
 //     from each other across tile widths — by bounded ULP-level rounding:
 //     fused multiply-add keeps the infinitely-precise product, so each tier
 //     is its own deterministic universe, ULP-close to the rest.
+//   - A pre-packed A operand changes none of the above: packing only moves
+//     elements (and, on the low-precision path, narrows them through the
+//     same encoder), so a product through a PackedA is bit-identical to the
+//     same product packed per call, on every tier and precision.
 //   - MinMax and QuantizeUniform8 are bit-identical across all tiers
 //     (order-free reduction; element-wise map with a fixed unfused op
 //     sequence), which is why the gradient-compression package may ride the

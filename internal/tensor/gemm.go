@@ -12,6 +12,12 @@ import (
 // forward one, and the bias add of the conv/dense layers rides along in the
 // store epilogue instead of a second pass over the output.
 //
+// The A operand may also arrive pre-packed (PackedA): a caller that reuses
+// one A across many products lays it out once, and the engine slices its
+// panels instead of packing per product. Packing only moves (and, for the
+// 16-bit paths, narrows through the same encoder) elements, so the
+// determinism contract below holds unchanged on that path.
+//
 // The blocked driver is generic over the packed-panel element type: float32
 // panels feed the active tier's fp32 micro-kernel, uint16 panels (bf16 or
 // IEEE-half storage, selected by SetComputePrecision) feed its low-precision
@@ -56,7 +62,9 @@ var (
 // with A read through strides (rsA, csA) as a logical m×k matrix and B
 // through (rsB, csB) as a logical k×n one. acc accumulates into C instead of
 // overwriting; biasRow/biasCol (mutually exclusive, only with acc=false)
-// fold a per-row or per-column bias into the first store.
+// fold a per-row or per-column bias into the first store. pa, when set, is
+// A already packed (PackedA); the engine reads its panels instead of packing
+// a when the pack matches the running tier and precision.
 type gemmOp struct {
 	c        []float32
 	ldc      int
@@ -68,6 +76,7 @@ type gemmOp struct {
 	acc      bool
 	biasRow  []float32
 	biasCol  []float32
+	pa       *PackedA
 }
 
 // MatMul computes C = A·B for row-major matrices. A is m×k, B is k×n, and C
@@ -134,6 +143,102 @@ func MatMulAdd2TransB(c, a, b *Tensor) {
 	gemmRun(gemmOp{c: c.Data, ldc: n, a: a.Data, rsA: k, csA: 1, b: b.Data, rsB: 1, csB: k, m: m, n: n, k: k, acc: true})
 }
 
+// PackedA is a GEMM A operand laid out once, ahead of the products that use
+// it, in the engine's own panel format: the whole logical m×k matrix in the
+// active tier's MR-row, KC-deep panels, narrowed to the current compute
+// precision. A layer that multiplies the same weight matrix by many
+// right-hand sides (Conv2D runs one product per image) packs it once per
+// pass instead of once per product. Packing does no arithmetic beyond the
+// bf16/fp16 narrowing the per-product path applies too, so a product through
+// a PackedA is bit-identical to the same product through MatMul.
+//
+// The pack is a snapshot: it records the source, the tier and the precision
+// it was made under. A product running under another tier or precision
+// falls back to packing the recorded source itself; after the source
+// changes, call Pack again. Products may read one PackedA concurrently.
+type PackedA struct {
+	a        []float32
+	rs, cs   int
+	m, k     int
+	kr       *kernel
+	prec     Precision
+	panels   []float32
+	panels16 []uint16
+}
+
+// Pack lays out a (or aᵀ when transA is set, with a stored k×m) for the
+// active tier and compute precision. The panel buffer grows to the largest
+// operand packed so far and is reused, so a warm Pack does not allocate.
+func (p *PackedA) Pack(a *Tensor, transA bool) {
+	p.m, p.k = a.Shape[0], a.Shape[1]
+	p.rs, p.cs = p.k, 1
+	if transA {
+		p.m, p.k = p.k, p.m
+		p.rs, p.cs = 1, p.m
+	}
+	p.a = a.Data
+	p.kr, p.prec = active, ComputePrecision()
+	switch p.prec {
+	case BFloat16:
+		p.panels16 = packWhole(p, p.panels16, packABF16)
+	case Float16:
+		p.panels16 = packWhole(p, p.panels16, packAFP16)
+	default:
+		p.panels = packWhole(p, p.panels, packA)
+	}
+}
+
+// packWhole packs all of p's source into buf (grown to fit) with the engine's
+// A packer, one KC panel after another: panel pc starts at pc·rows, where
+// rows is m rounded up to the tile height.
+func packWhole[E panelElem](p *PackedA, buf []E, pack func(dst []E, a []float32, rs, cs, i0, p0, mc, kc, mr int)) []E {
+	bl := p.kr.bl
+	rows := (p.m + bl.MR - 1) / bl.MR * bl.MR
+	if n := rows * p.k; cap(buf) < n {
+		buf = make([]E, n)
+	} else {
+		buf = buf[:n]
+	}
+	for pc := 0; pc < p.k; pc += bl.KC {
+		pack(buf[pc*rows:], p.a, p.rs, p.cs, 0, pc, p.m, min(p.k-pc, bl.KC), bl.MR)
+	}
+	return buf
+}
+
+// MatMul computes C = A·B with A the packed operand (m×k) and B k×n.
+func (p *PackedA) MatMul(c, b *Tensor) {
+	gemmRun(p.op(c, b))
+}
+
+// MatMulBiasRow computes C = A·B + bias with bias broadcast along rows, as
+// the package-level MatMulBiasRow does, with A the packed operand.
+func (p *PackedA) MatMulBiasRow(c, b *Tensor, bias []float32) {
+	if len(bias) != p.m {
+		panic("tensor: MatMulBiasRow bias length mismatch")
+	}
+	op := p.op(c, b)
+	op.biasRow = bias
+	gemmRun(op)
+}
+
+// op validates B and C against the packed shape and builds the product.
+func (p *PackedA) op(c, b *Tensor) gemmOp {
+	n := b.Shape[1]
+	if b.Shape[0] != p.k {
+		panic("tensor: MatMul inner dimension mismatch")
+	}
+	if c.Shape[0] != p.m || c.Shape[1] != n {
+		panic("tensor: MatMul output shape mismatch")
+	}
+	return gemmOp{c: c.Data, ldc: n, a: p.a, rsA: p.rs, csA: p.cs, b: b.Data, rsB: n, csB: 1, m: p.m, n: n, k: p.k, pa: p}
+}
+
+// matches reports whether p (possibly nil) was packed for tier kr at
+// precision prec, so its panels can stand in for the engine's own packing.
+func (p *PackedA) matches(kr *kernel, prec Precision) bool {
+	return p != nil && p.kr == kr && p.prec == prec
+}
+
 // checkMatMul validates the operand shapes of a (possibly transposed)
 // product and returns the logical (m, n, k).
 func checkMatMul(c, a, b *Tensor, transA, transB bool) (m, n, k int) {
@@ -168,6 +273,9 @@ type gemmEngine[E panelElem] struct {
 	packA func(dst []E, a []float32, rs, cs, i0, p0, mc, kc, mr int)
 	packB func(dst []E, b []float32, rs, cs, p0, j0, nc, kc, nr int)
 	arena *par.Arena[E]
+	// preA holds the op's A operand already packed for this tier and
+	// storage (PackedA); nil means pack A per MC block.
+	preA []E
 }
 
 // Top-level packer adapters: fixing the encoder here (instead of closing
@@ -196,15 +304,26 @@ func gemmRun(op gemmOp) {
 		return
 	}
 	kr := active
-	switch ComputePrecision() {
+	prec := ComputePrecision()
+	pre := op.pa.matches(kr, prec)
+	switch prec {
 	case BFloat16:
 		e := gemmEngine[uint16]{bl: kr.bl, kern: kr.kernBF16, packA: packABF16, packB: packBBF16, arena: &gemmScratch16}
+		if pre {
+			e.preA = op.pa.panels16
+		}
 		e.run(op)
 	case Float16:
 		e := gemmEngine[uint16]{bl: kr.bl, kern: kr.kernFP16, packA: packAFP16, packB: packBFP16, arena: &gemmScratch16}
+		if pre {
+			e.preA = op.pa.panels16
+		}
 		e.run(op)
 	default:
 		e := gemmEngine[float32]{bl: kr.bl, kern: kr.kern, packA: packA, packB: packB, arena: &gemmScratch}
+		if pre {
+			e.preA = op.pa.panels
+		}
 		e.run(op)
 	}
 }
@@ -233,11 +352,10 @@ func (e gemmEngine[E]) run(op gemmOp) {
 	if ncMax > bl.NC {
 		ncMax = bl.NC
 	}
-	aMax := mTiles * bl.MR
-	if aMax > bl.MC {
-		aMax = bl.MC
+	aMax := 0 // per-chunk A packing space; none when A arrives pre-packed
+	if e.preA == nil {
+		aMax = min(mTiles*bl.MR, bl.MC) * kcMax
 	}
-	aMax *= kcMax
 	buf := e.arena.Get(ncMax*kcMax + nChunks*aMax)
 	bBuf := buf[:ncMax*kcMax]
 	aBufs := buf[ncMax*kcMax:]
@@ -277,7 +395,9 @@ func (e gemmEngine[E]) fanOut(op gemmOp, aBufs []E, aMax int, bBuf []E, tiles []
 }
 
 // chunk computes the row tiles [tileLo, tileHi) of one (jc, pc) panel: for
-// each MC block it packs A and sweeps the packed B panels with the
+// each MC block it packs A (or, when A arrived pre-packed, slices the
+// block's panels out of the PackedA: panel pc starts at pc·mTiles·MR, and
+// row i0 of it at i0·kc) and sweeps the packed B panels with the
 // micro-kernel, storing each MR×NR register tile through storeTile.
 func (e gemmEngine[E]) chunk(op gemmOp, aBuf, bBuf []E, tile *kernTile, jc, pc, nc, kc, tileLo, tileHi int, first bool) {
 	mr, nr := e.bl.MR, e.bl.NR
@@ -286,12 +406,17 @@ func (e gemmEngine[E]) chunk(op gemmOp, aBuf, bBuf []E, tile *kernTile, jc, pc, 
 	if rowEnd > op.m {
 		rowEnd = op.m
 	}
+	preRows := (op.m + mr - 1) / mr * mr
 	for i0 := tileLo * mr; i0 < rowEnd; i0 += mcMax {
 		mc := rowEnd - i0
 		if mc > mcMax {
 			mc = mcMax
 		}
-		e.packA(aBuf, op.a, op.rsA, op.csA, i0, pc, mc, kc, mr)
+		if e.preA != nil {
+			aBuf = e.preA[pc*preRows+i0*kc:]
+		} else {
+			e.packA(aBuf, op.a, op.rsA, op.csA, i0, pc, mc, kc, mr)
+		}
 		mcTiles := (mc + mr - 1) / mr
 		for jr := 0; jr < nc; jr += nr {
 			bp := bBuf[(jr/nr)*nr*kc:][: nr*kc : nr*kc]

@@ -302,8 +302,9 @@ func TestMatMulTransBBiasCol(t *testing.T) {
 }
 
 // TestGEMMZeroAllocs asserts the packed hot path is allocation-free in
-// steady state (after the scratch arena has warmed up), for every variant,
-// on every tier, on conv-shaped operands.
+// steady state (after the scratch arena has warmed up), for every variant
+// and the pre-packed A entry points (a re-Pack reuses its panel buffer), on
+// every tier, on conv-shaped operands.
 func TestGEMMZeroAllocs(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		par.SetWidth(1)
@@ -333,6 +334,21 @@ func TestGEMMZeroAllocs(t *testing.T) {
 			c := New(m, n)
 			bias := make([]float32, n)
 			ops = append(ops, op{"MatMulTransBBiasCol", func() { MatMulTransBBiasCol(c, a, b, bias) }})
+		}
+		for _, transA := range []bool{false, true} {
+			a := randMat(g, m, k)
+			if transA {
+				a = randMat(g, k, m)
+			}
+			b := randMat(g, k, n)
+			c := New(m, n)
+			bias := make([]float32, m)
+			var pa PackedA
+			ops = append(ops,
+				op{"PackedA.Pack", func() { pa.Pack(a, transA) }},
+				op{"PackedA.MatMul", func() { pa.MatMul(c, b) }},
+				op{"PackedA.MatMulBiasRow", func() { pa.MatMulBiasRow(c, b, bias) }},
+			)
 		}
 		for _, o := range ops {
 			o.run() // warm the arena

@@ -9,6 +9,12 @@ package tensor
 // full register tile; the padding lanes contribute exact zeros and are
 // simply not stored back.
 //
+// The two layout-transposing loops (packA from a row-major source, packB
+// from a transposed one) would otherwise write one float per k step at
+// stride mr/nr; they move a transposeStrip-wide strip of source rows or
+// columns per sweep instead, like Transpose, so each k step retires that
+// many contiguous writes.
+//
 // The panel geometry (mr, nr) is a parameter — each kernel tier packs for
 // its own register tile — and each packer has a uint16 twin that encodes
 // elements to bf16 or IEEE half on the way in (lowprec.go), halving the
@@ -19,6 +25,7 @@ package tensor
 // A[i0+t*mr+i][p0+p]. Element (i, p) of the logical matrix lives at
 // a[i*rs + p*cs]. Rows past mc are zero-filled.
 func packA(dst, a []float32, rs, cs, i0, p0, mc, kc, mr int) {
+	const strip = transposeStrip
 	for t := 0; t*mr < mc; t++ {
 		panel := dst[t*mr*kc:][: mr*kc : mr*kc]
 		rows := mc - t*mr
@@ -27,8 +34,22 @@ func packA(dst, a []float32, rs, cs, i0, p0, mc, kc, mr int) {
 		}
 		base := (i0+t*mr)*rs + p0*cs
 		if cs == 1 {
-			// Row-major source: each logical row is contiguous in p.
-			for i := 0; i < rows; i++ {
+			// Row-major source: each logical row is contiguous in p; move
+			// a strip of rows per sweep.
+			i := 0
+			for ; i+strip <= rows; i += strip {
+				r0 := a[base+i*rs:][:kc]
+				r1 := a[base+(i+1)*rs:][:kc]
+				r2 := a[base+(i+2)*rs:][:kc]
+				r3 := a[base+(i+3)*rs:][:kc]
+				d := i
+				for p := range r0 {
+					q := panel[d : d+strip : d+strip]
+					q[0], q[1], q[2], q[3] = r0[p], r1[p], r2[p], r3[p]
+					d += mr
+				}
+			}
+			for ; i < rows; i++ {
 				src := a[base+i*rs:][:kc]
 				for p, v := range src {
 					panel[p*mr+i] = v
@@ -56,6 +77,7 @@ func packA(dst, a []float32, rs, cs, i0, p0, mc, kc, mr int) {
 // B[p0+p][j0+u*nr+j]. Element (p, j) lives at b[p*rs + j*cs]. Columns past
 // nc are zero-filled.
 func packB(dst, b []float32, rs, cs, p0, j0, nc, kc, nr int) {
+	const strip = transposeStrip
 	for u := 0; u*nr < nc; u++ {
 		panel := dst[u*nr*kc:][: nr*kc : nr*kc]
 		cols := nc - u*nr
@@ -80,7 +102,21 @@ func packB(dst, b []float32, rs, cs, p0, j0, nc, kc, nr int) {
 			}
 		} else {
 			// Transposed source (rs == 1): each column is contiguous in p.
-			for j := 0; j < cols; j++ {
+			// Move a strip of columns per sweep, as packA does with rows.
+			j := 0
+			for ; j+strip <= cols; j += strip {
+				c0 := b[base+j*cs:][:kc]
+				c1 := b[base+(j+1)*cs:][:kc]
+				c2 := b[base+(j+2)*cs:][:kc]
+				c3 := b[base+(j+3)*cs:][:kc]
+				d := j
+				for p := range c0 {
+					q := panel[d : d+strip : d+strip]
+					q[0], q[1], q[2], q[3] = c0[p], c1[p], c2[p], c3[p]
+					d += nr
+				}
+			}
+			for ; j < cols; j++ {
 				src := b[base+j*cs:][:kc]
 				for p, v := range src {
 					panel[p*nr+j] = v
@@ -99,6 +135,7 @@ func packB(dst, b []float32, rs, cs, p0, j0, nc, kc, nr int) {
 // or IEEE half via enc) as it is laid into the panel. Zero padding encodes
 // to bit pattern 0 in both formats, so the pad lanes stay exact zeros.
 func packA16(dst []uint16, a []float32, rs, cs, i0, p0, mc, kc, mr int, enc func(float32) uint16) {
+	const strip = transposeStrip
 	for t := 0; t*mr < mc; t++ {
 		panel := dst[t*mr*kc:][: mr*kc : mr*kc]
 		rows := mc - t*mr
@@ -107,7 +144,20 @@ func packA16(dst []uint16, a []float32, rs, cs, i0, p0, mc, kc, mr int, enc func
 		}
 		base := (i0+t*mr)*rs + p0*cs
 		if cs == 1 {
-			for i := 0; i < rows; i++ {
+			i := 0
+			for ; i+strip <= rows; i += strip {
+				r0 := a[base+i*rs:][:kc]
+				r1 := a[base+(i+1)*rs:][:kc]
+				r2 := a[base+(i+2)*rs:][:kc]
+				r3 := a[base+(i+3)*rs:][:kc]
+				d := i
+				for p := range r0 {
+					q := panel[d : d+strip : d+strip]
+					q[0], q[1], q[2], q[3] = enc(r0[p]), enc(r1[p]), enc(r2[p]), enc(r3[p])
+					d += mr
+				}
+			}
+			for ; i < rows; i++ {
 				src := a[base+i*rs:][:kc]
 				for p, v := range src {
 					panel[p*mr+i] = enc(v)
@@ -131,6 +181,7 @@ func packA16(dst []uint16, a []float32, rs, cs, i0, p0, mc, kc, mr int, enc func
 
 // packB16 is packB with on-the-fly narrowing via enc.
 func packB16(dst []uint16, b []float32, rs, cs, p0, j0, nc, kc, nr int, enc func(float32) uint16) {
+	const strip = transposeStrip
 	for u := 0; u*nr < nc; u++ {
 		panel := dst[u*nr*kc:][: nr*kc : nr*kc]
 		cols := nc - u*nr
@@ -150,7 +201,20 @@ func packB16(dst []uint16, b []float32, rs, cs, p0, j0, nc, kc, nr int, enc func
 				}
 			}
 		} else {
-			for j := 0; j < cols; j++ {
+			j := 0
+			for ; j+strip <= cols; j += strip {
+				c0 := b[base+j*cs:][:kc]
+				c1 := b[base+(j+1)*cs:][:kc]
+				c2 := b[base+(j+2)*cs:][:kc]
+				c3 := b[base+(j+3)*cs:][:kc]
+				d := j
+				for p := range c0 {
+					q := panel[d : d+strip : d+strip]
+					q[0], q[1], q[2], q[3] = enc(c0[p]), enc(c1[p]), enc(c2[p]), enc(c3[p])
+					d += nr
+				}
+			}
+			for ; j < cols; j++ {
 				src := b[base+j*cs:][:kc]
 				for p, v := range src {
 					panel[p*nr+j] = enc(v)

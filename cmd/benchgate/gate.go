@@ -2,13 +2,17 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -46,7 +50,7 @@ func parseBench(r io.Reader) (map[string]benchResult, error) {
 		fields := strings.Fields(m[2])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("%s: bad metric value %q", res.Name, fields[i])
 			}
 			res.Metrics[fields[i+1]] = v
@@ -56,16 +60,37 @@ func parseBench(r io.Reader) (map[string]benchResult, error) {
 	return out, sc.Err()
 }
 
+// Metric kinds: how a baselined value is judged against a fresh one.
+const (
+	kindHigher  = "higher"  // higher is better, within the shared tolerance
+	kindLower   = "lower"   // lower is better, within the shared tolerance
+	kindExact   = "exact"   // lower is better, with no tolerance at all
+	kindCeiling = "ceiling" // an absolute upper bound; -update never moves it
+	kindReport  = "report"  // printed for reference, never gated
+)
+
 // Gate row statuses.
 const (
 	statusOK       = "ok"
 	statusFail     = "FAIL"
 	statusImproved = "improved"
 	statusMissing  = "MISSING"
-	statusSkipped  = "-"
+	statusReport   = "report" // a measured reference value
+	statusSkipped  = "-"      // a reference value this run did not measure
 )
 
-// gateRow is one gated comparison for the report table.
+// baseline is one BENCH_*.json file: benchmark name → metric key → entry.
+type baseline struct {
+	Description string                       `json:"description"`
+	Benchmarks  map[string]map[string]*entry `json:"benchmarks"`
+}
+
+type entry struct {
+	Value float64 `json:"value"`
+	Kind  string  `json:"kind"`
+}
+
+// gateRow is one compared (benchmark, metric) for the report table.
 type gateRow struct {
 	File, Name, Metric  string
 	Base, Fresh, Change float64 // Change: fractional delta, signed so that > 0 means regression
@@ -73,546 +98,243 @@ type gateRow struct {
 	Note                string
 }
 
-// simBaseline mirrors BENCH_comm.json / BENCH_overlap.json.
-type simBaseline struct {
-	Description string               `json:"description"`
-	Benchmarks  map[string]*simEntry `json:"benchmarks"`
-}
-
-type simEntry struct {
-	NsPerOp int64   `json:"ns_per_op"`
-	SimMS   float64 `json:"sim_ms"`
-}
-
-// simKernelBaseline mirrors BENCH_sim.json: the event-kernel and
-// thousand-node collective baselines. Beyond sim_ms it gates three metric
-// kinds the other sim files don't:
-//
-//   - events_per_sec — kernel throughput, higher-better, gated with the
-//     shared tolerance (host-dependent but order-of-magnitude stable);
-//   - allocs_per_op — gated exactly: the steady-state hot path is
-//     allocation-free by construction, so any increase fails outright;
-//   - events_per_op — the deterministic wake-up count of a simulated
-//     workload (sim.Env.Events), gated exactly: unlike ns/op it is a pure
-//     function of the simulation's inputs, so it pins scheduler *work*
-//     without runner noise — e.g. the fault-free-overhead contract of the
-//     chaos layer, where guarded-path machinery leaking into the fast
-//     path would add ack/timer events per message;
-//   - max_ns_per_op — an absolute real-time ceiling on the fresh ns/op
-//     (deliberately generous for runner noise). It encodes a contract —
-//     "a P=1024 sweep point stays under N ms of real CPU" — so -update
-//     never rewrites it.
-type simKernelBaseline struct {
-	Description string                     `json:"description"`
-	Benchmarks  map[string]*simKernelEntry `json:"benchmarks"`
-}
-
-type simKernelEntry struct {
-	NsPerOp      int64    `json:"ns_per_op"`
-	EventsPerSec float64  `json:"events_per_sec,omitempty"`
-	SimMS        float64  `json:"sim_ms,omitempty"`
-	AllocsPerOp  *float64 `json:"allocs_per_op,omitempty"`
-	EventsPerOp  *float64 `json:"events_per_op,omitempty"`
-	MaxNsPerOp   int64    `json:"max_ns_per_op,omitempty"`
-}
-
-// serveBaseline mirrors BENCH_serve.json: the inference-serving baselines.
-// Two metrics are gated per entry:
-//
-//   - req_per_sec — serving throughput through the batcher, higher-better,
-//     gated with the shared tolerance (host-dependent but order-of-magnitude
-//     stable: a lost coalescing path halves it);
-//   - allocs_per_op — gated exactly: the batching hot path (admission →
-//     coalesce → PredictInto → fan-out) is allocation-free in steady state
-//     by contract, so any increase fails outright.
-//
-// mean_batch is recorded by -update for reference (it shows coalescing is
-// actually happening) but not gated: it depends on sender scheduling.
-type serveBaseline struct {
-	Description string                 `json:"description"`
-	Benchmarks  map[string]*serveEntry `json:"benchmarks"`
-}
-
-type serveEntry struct {
-	NsPerOp     int64    `json:"ns_per_op"`
-	ReqPerSec   float64  `json:"req_per_sec"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	MeanBatch   float64  `json:"mean_batch,omitempty"`
-}
-
-// gemmBaseline mirrors BENCH_gemm.json.
-type gemmBaseline struct {
-	Description string         `json:"description"`
-	Environment map[string]any `json:"environment,omitempty"`
-	Invariants  map[string]any `json:"invariants,omitempty"`
-	Benchmarks  []*gemmEntry   `json:"benchmarks"`
-	Notes       string         `json:"notes,omitempty"`
-}
-
-// gemmEntry's GFLOPS baselines are keyed by kernel tier ("avx512", "avx2",
-// "sse2", "neon", "generic"): the same benchmark legitimately runs 2× faster
-// or slower depending on which micro-kernel the host dispatches to, so a
-// single number would either mask an AVX-512 regression or fail every SSE2
-// host. The gate compares only against the running tier's key; a missing key
-// is reported as MISSING with instructions, never as a bogus regression.
-type gemmEntry struct {
-	Name         string             `json:"name"`
-	NsOp         int64              `json:"ns_op"`
-	GFLOPSByTier map[string]float64 `json:"gflops_by_tier,omitempty"`
-	AllocsOp     *int64             `json:"allocs_op,omitempty"`
-	OldNsOp      int64              `json:"old_ns_op,omitempty"`
-	OldGFLOPS    float64            `json:"old_gflops,omitempty"`
-	Speedup      float64            `json:"speedup,omitempty"`
-}
-
-// tierKeys lists an entry's recorded tiers for the MISSING note.
-func tierKeys(m map[string]float64) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// loadBaseline decodes one baseline file strictly: an unknown field, an
+// unknown kind, a repeated key or a malformed metric key is an error, never
+// a silently ungated metric.
+func loadBaseline(raw []byte) (*baseline, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var b baseline
+	if err := dec.Decode(&b); err != nil {
+		return nil, err
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, ", ")
-}
-
-// gemmBenchName maps a baseline entry name to its benchmark name: the part
-// before any parenthesized qualifier ("Conv2DForward (LeNet conv2, batch
-// 16)" ran as BenchmarkConv2DForward).
-func gemmBenchName(name string) string {
-	if i := strings.Index(name, " ("); i >= 0 {
-		return name[:i]
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after the baseline object")
 	}
-	return name
+	if err := noRepeatedKeys(json.NewDecoder(bytes.NewReader(raw))); err != nil {
+		return nil, err
+	}
+	if len(b.Benchmarks) == 0 {
+		return nil, errors.New("no benchmarks")
+	}
+	for name, metrics := range b.Benchmarks {
+		if len(metrics) == 0 {
+			return nil, fmt.Errorf("%s: no metrics", name)
+		}
+		for key, e := range metrics {
+			unit, qual, qualified := strings.Cut(key, "@")
+			switch {
+			case e == nil:
+				return nil, fmt.Errorf("%s %s: null entry", name, key)
+			case unit == "" || qualified && (qual == "" || strings.Contains(qual, "@")):
+				return nil, fmt.Errorf("%s: bad metric key %q (want unit or unit@qualifier)", name, key)
+			case !slices.Contains([]string{kindHigher, kindLower, kindExact, kindCeiling, kindReport}, e.Kind):
+				return nil, fmt.Errorf("%s %s: unknown kind %q", name, key, e.Kind)
+			case e.Value <= 0 && (e.Kind == kindHigher || e.Kind == kindLower || e.Kind == kindCeiling):
+				return nil, fmt.Errorf("%s %s: a %s baseline needs a positive value, got %v", name, key, e.Kind, e.Value)
+			}
+		}
+	}
+	return &b, nil
 }
 
-// gate compares fresh results against every baseline file present in dir
-// and returns the report rows, most severe first within each file. tier
-// selects which gflops_by_tier key of BENCH_gemm.json to gate (and, with
-// update, to rewrite). With update set, the gated metrics (and ns/op) in the
-// baselines are rewritten from the fresh results instead.
+// noRepeatedKeys walks a JSON value and rejects any object that names a key
+// twice, which encoding/json would otherwise resolve silently (last wins).
+func noRepeatedKeys(dec *json.Decoder) error {
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if tok != json.Delim('{') && tok != json.Delim('[') {
+		return nil
+	}
+	seen := map[string]bool{}
+	for dec.More() {
+		if tok == json.Delim('{') {
+			key, err := dec.Token()
+			if err != nil {
+				return err
+			}
+			k := key.(string)
+			if seen[k] {
+				return fmt.Errorf("repeated key %q", k)
+			}
+			seen[k] = true
+		}
+		if err := noRepeatedKeys(dec); err != nil {
+			return err
+		}
+	}
+	_, err = dec.Token()
+	return err
+}
+
+// gate compares fresh results against every BENCH_*.json in dir and returns
+// the report rows, most severe first. tier selects which tier-qualified keys
+// apply. With update set, each file's applicable measured values (every kind
+// but ceiling) are rewritten from the fresh results.
 func gate(dir, tier string, fresh map[string]benchResult, tol float64, update bool) ([]gateRow, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return nil, err
+	}
 	var rows []gateRow
-
-	for _, simFile := range []string{"BENCH_comm.json", "BENCH_overlap.json"} {
-		path := filepath.Join(dir, simFile)
+	for _, path := range paths {
+		file := filepath.Base(path)
 		raw, err := os.ReadFile(path)
-		if os.IsNotExist(err) {
-			continue
-		} else if err != nil {
-			return nil, err
-		}
-		var base simBaseline
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return nil, fmt.Errorf("%s: %w", simFile, err)
-		}
-		names := make([]string, 0, len(base.Benchmarks))
-		for name := range base.Benchmarks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		changed := false
-		for _, name := range names {
-			entry := base.Benchmarks[name]
-			short := strings.TrimPrefix(name, "Benchmark")
-			got, ok := fresh[short]
-			if !ok {
-				rows = append(rows, gateRow{File: simFile, Name: short, Metric: "sim_ms",
-					Base: entry.SimMS, Status: statusMissing, Note: "benchmark did not run"})
-				continue
-			}
-			simMS, ok := got.Metrics["sim_ms"]
-			if !ok {
-				rows = append(rows, gateRow{File: simFile, Name: short, Metric: "sim_ms",
-					Base: entry.SimMS, Status: statusMissing, Note: "no sim_ms metric reported"})
-				continue
-			}
-			if update {
-				entry.SimMS = simMS
-				if ns, ok := got.Metrics["ns/op"]; ok {
-					entry.NsPerOp = int64(ns)
-				}
-				changed = true
-				continue
-			}
-			rows = append(rows, compare(simFile, short, "sim_ms", entry.SimMS, simMS, tol, false))
-		}
-		if update && changed {
-			out, err := json.MarshalIndent(base, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	simRows, err := gateSimKernel(dir, fresh, tol, update)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, simRows...)
-
-	serveRows, err := gateServe(dir, fresh, tol, update)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, serveRows...)
-
-	path := filepath.Join(dir, "BENCH_gemm.json")
-	raw, err := os.ReadFile(path)
-	if err == nil {
-		var base gemmBaseline
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return nil, fmt.Errorf("BENCH_gemm.json: %w", err)
-		}
-		changed := false
-		for _, entry := range base.Benchmarks {
-			// A nil map marks an ns-only entry; an empty one ("gflops_by_tier":
-			// {}) is a gated entry awaiting its first -update.
-			if entry.GFLOPSByTier == nil {
-				// ns-only entries (MatMul, Im2col, Conv2D…) are host-speed
-				// measurements; reported for reference, never gated.
-				rows = append(rows, gateRow{File: "BENCH_gemm.json", Name: entry.Name,
-					Metric: "ns/op", Base: float64(entry.NsOp), Status: statusSkipped,
-					Note: "host-speed metric, not gated"})
-				continue
-			}
-			got, ok := fresh[gemmBenchName(entry.Name)]
-			if !ok {
-				rows = append(rows, gateRow{File: "BENCH_gemm.json", Name: entry.Name,
-					Metric: "GFLOPS", Base: entry.GFLOPSByTier[tier], Status: statusMissing, Note: "benchmark did not run"})
-				continue
-			}
-			gflops, ok := got.Metrics["GFLOPS"]
-			if !ok {
-				rows = append(rows, gateRow{File: "BENCH_gemm.json", Name: entry.Name,
-					Metric: "GFLOPS", Base: entry.GFLOPSByTier[tier], Status: statusMissing, Note: "no GFLOPS metric reported"})
-				continue
-			}
-			if update {
-				entry.GFLOPSByTier[tier] = gflops
-				if ns, ok := got.Metrics["ns/op"]; ok {
-					entry.NsOp = int64(ns)
-				}
-				if al, ok := got.Metrics["allocs/op"]; ok {
-					v := int64(al)
-					entry.AllocsOp = &v
-				}
-				if entry.OldGFLOPS > 0 {
-					// Speedup reports the widest recorded tier against the
-					// pre-engine scalar code.
-					best := 0.0
-					for _, v := range entry.GFLOPSByTier {
-						if v > best {
-							best = v
-						}
-					}
-					entry.Speedup = best / entry.OldGFLOPS
-				}
-				changed = true
-				continue
-			}
-			baseGF, ok := entry.GFLOPSByTier[tier]
-			if !ok {
-				rows = append(rows, gateRow{File: "BENCH_gemm.json", Name: entry.Name,
-					Metric: "GFLOPS", Status: statusMissing,
-					Note: fmt.Sprintf("no baseline for kernel tier %q (recorded: %s) — record one with -update on this host",
-						tier, tierKeys(entry.GFLOPSByTier))})
-				continue
-			}
-			rows = append(rows, compare("BENCH_gemm.json", entry.Name, "GFLOPS", baseGF, gflops, tol, true))
-		}
-		if update && changed {
-			out, err := json.MarshalIndent(base, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-
-	sort.SliceStable(rows, func(i, j int) bool { return severity(rows[i].Status) < severity(rows[j].Status) })
-	return rows, nil
-}
-
-// gateSimKernel gates BENCH_sim.json. Each entry may pin several metrics at
-// once; every pinned metric produces its own row.
-func gateSimKernel(dir string, fresh map[string]benchResult, tol float64, update bool) ([]gateRow, error) {
-	const simFile = "BENCH_sim.json"
-	path := filepath.Join(dir, simFile)
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	} else if err != nil {
-		return nil, err
-	}
-	var base simKernelBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return nil, fmt.Errorf("%s: %w", simFile, err)
-	}
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var rows []gateRow
-	changed := false
-	for _, name := range names {
-		entry := base.Benchmarks[name]
-		short := strings.TrimPrefix(name, "Benchmark")
-		got, ok := fresh[short]
-		if !ok {
-			rows = append(rows, gateRow{File: simFile, Name: short, Metric: "ns/op",
-				Base: float64(entry.NsPerOp), Status: statusMissing, Note: "benchmark did not run"})
-			continue
-		}
-		if update {
-			if ns, ok := got.Metrics["ns/op"]; ok {
-				entry.NsPerOp = int64(ns)
-			}
-			if ev, ok := got.Metrics["events/sec"]; ok && entry.EventsPerSec > 0 {
-				entry.EventsPerSec = ev
-			}
-			if ms, ok := got.Metrics["sim_ms"]; ok && entry.SimMS > 0 {
-				entry.SimMS = ms
-			}
-			if al, ok := got.Metrics["allocs/op"]; ok && entry.AllocsPerOp != nil {
-				entry.AllocsPerOp = &al
-			}
-			if ev, ok := got.Metrics["events/op"]; ok && entry.EventsPerOp != nil {
-				entry.EventsPerOp = &ev
-			}
-			// MaxNsPerOp is a contract, never a measurement: left untouched.
-			changed = true
-			continue
-		}
-		need := func(metric string, gateBase float64, do func(v float64) gateRow) {
-			v, ok := got.Metrics[metric]
-			if !ok {
-				rows = append(rows, gateRow{File: simFile, Name: short, Metric: metric,
-					Base: gateBase, Status: statusMissing, Note: "no " + metric + " metric reported"})
-				return
-			}
-			rows = append(rows, do(v))
-		}
-		if entry.SimMS > 0 {
-			need("sim_ms", entry.SimMS, func(v float64) gateRow {
-				return compare(simFile, short, "sim_ms", entry.SimMS, v, tol, false)
-			})
-		}
-		if entry.EventsPerSec > 0 {
-			need("events/sec", entry.EventsPerSec, func(v float64) gateRow {
-				return compare(simFile, short, "events/sec", entry.EventsPerSec, v, tol, true)
-			})
-		}
-		if entry.AllocsPerOp != nil {
-			need("allocs/op", *entry.AllocsPerOp, func(v float64) gateRow {
-				row := gateRow{File: simFile, Name: short, Metric: "allocs/op",
-					Base: *entry.AllocsPerOp, Fresh: v}
-				switch {
-				case v > *entry.AllocsPerOp:
-					row.Status = statusFail
-					row.Note = fmt.Sprintf("hot path allocates: %.0f allocs/op (baseline %.0f, gated exactly)",
-						v, *entry.AllocsPerOp)
-				case v < *entry.AllocsPerOp:
-					row.Status = statusImproved
-					row.Note = "fewer allocations than baseline — consider regenerating with -update"
-				default:
-					row.Status = statusOK
-				}
-				return row
-			})
-		}
-		if entry.EventsPerOp != nil {
-			need("events/op", *entry.EventsPerOp, func(v float64) gateRow {
-				row := gateRow{File: simFile, Name: short, Metric: "events/op",
-					Base: *entry.EventsPerOp, Fresh: v}
-				switch {
-				case v > *entry.EventsPerOp:
-					row.Status = statusFail
-					row.Note = fmt.Sprintf("scheduler work grew: %.0f events/op (baseline %.0f, gated exactly — deterministic)",
-						v, *entry.EventsPerOp)
-				case v < *entry.EventsPerOp:
-					row.Status = statusImproved
-					row.Note = "fewer events than baseline — consider regenerating with -update"
-				default:
-					row.Status = statusOK
-				}
-				return row
-			})
-		}
-		if entry.MaxNsPerOp > 0 {
-			need("ns/op", float64(entry.MaxNsPerOp), func(v float64) gateRow {
-				row := gateRow{File: simFile, Name: short, Metric: "ns/op",
-					Base: float64(entry.MaxNsPerOp), Fresh: v, Change: v/float64(entry.MaxNsPerOp) - 1}
-				if v > float64(entry.MaxNsPerOp) {
-					row.Status = statusFail
-					row.Note = fmt.Sprintf("breached the absolute real-time ceiling of %d ns/op", entry.MaxNsPerOp)
-				} else {
-					row.Status = statusOK
-					row.Note = "absolute ceiling, not a relative gate"
-				}
-				return row
-			})
-		}
-	}
-	if update && changed {
-		out, err := json.MarshalIndent(base, "", "  ")
 		if err != nil {
 			return nil, err
 		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			return nil, err
+		b, err := loadBaseline(raw)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", file, err)
+		}
+		fileRows, changed := gateBaseline(file, b, tier, fresh, tol, update)
+		rows = append(rows, fileRows...)
+		if changed {
+			if err := os.WriteFile(path, encode(b), 0o644); err != nil {
+				return nil, err
+			}
 		}
 	}
+	slices.SortStableFunc(rows, func(a, b gateRow) int { return severity(a.Status) - severity(b.Status) })
 	return rows, nil
 }
 
-// gateServe gates BENCH_serve.json: req/s with the shared tolerance
-// (higher-better), allocs/op exactly.
-func gateServe(dir string, fresh map[string]benchResult, tol float64, update bool) ([]gateRow, error) {
-	const serveFile = "BENCH_serve.json"
-	path := filepath.Join(dir, serveFile)
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	} else if err != nil {
-		return nil, err
-	}
-	var base serveBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return nil, fmt.Errorf("%s: %w", serveFile, err)
-	}
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var rows []gateRow
-	changed := false
-	for _, name := range names {
-		entry := base.Benchmarks[name]
-		short := strings.TrimPrefix(name, "Benchmark")
-		got, ok := fresh[short]
-		if !ok {
-			rows = append(rows, gateRow{File: serveFile, Name: short, Metric: "req/s",
-				Base: entry.ReqPerSec, Status: statusMissing, Note: "benchmark did not run"})
-			continue
-		}
-		if update {
-			if ns, ok := got.Metrics["ns/op"]; ok {
-				entry.NsPerOp = int64(ns)
-			}
-			if rs, ok := got.Metrics["req/s"]; ok {
-				entry.ReqPerSec = rs
-			}
-			if al, ok := got.Metrics["allocs/op"]; ok && entry.AllocsPerOp != nil {
-				entry.AllocsPerOp = &al
-			}
-			if mb, ok := got.Metrics["mean-batch"]; ok {
-				entry.MeanBatch = mb
-			}
-			changed = true
-			continue
-		}
-		if rs, ok := got.Metrics["req/s"]; ok {
-			rows = append(rows, compare(serveFile, short, "req/s", entry.ReqPerSec, rs, tol, true))
-		} else {
-			rows = append(rows, gateRow{File: serveFile, Name: short, Metric: "req/s",
-				Base: entry.ReqPerSec, Status: statusMissing, Note: "no req/s metric reported"})
-		}
-		if entry.AllocsPerOp != nil {
-			al, ok := got.Metrics["allocs/op"]
-			if !ok {
-				rows = append(rows, gateRow{File: serveFile, Name: short, Metric: "allocs/op",
-					Base: *entry.AllocsPerOp, Status: statusMissing, Note: "no allocs/op metric reported"})
+// gateBaseline runs the one compare loop over a decoded file. A key
+// unit@qualifier applies only when the qualifier is the running tier; a
+// unit whose gated keys are all qualified for other tiers reports MISSING,
+// and -update records the running tier's key for it.
+func gateBaseline(file string, b *baseline, tier string, fresh map[string]benchResult, tol float64, update bool) (rows []gateRow, changed bool) {
+	for _, name := range slices.Sorted(maps.Keys(b.Benchmarks)) {
+		metrics := b.Benchmarks[name]
+		got, ran := fresh[name]
+		applies := map[string]bool{}        // unit → some gated key applies under tier
+		otherTiers := map[string][]string{} // unit → tiers of its gated keys that don't
+		for _, key := range slices.Sorted(maps.Keys(metrics)) {
+			e := metrics[key]
+			unit, qual, _ := strings.Cut(key, "@")
+			if qual != "" && qual != tier {
+				if e.Kind != kindReport {
+					otherTiers[unit] = append(otherTiers[unit], qual)
+				}
 				continue
 			}
-			row := gateRow{File: serveFile, Name: short, Metric: "allocs/op",
-				Base: *entry.AllocsPerOp, Fresh: al}
+			if e.Kind != kindReport {
+				applies[unit] = true
+			}
+			v, measured := got.Metrics[unit]
+			row := gateRow{File: file, Name: name, Metric: key, Base: e.Value, Fresh: v}
 			switch {
-			case al > *entry.AllocsPerOp:
-				row.Status = statusFail
-				row.Note = fmt.Sprintf("serving hot path allocates: %.0f allocs/op (baseline %.0f, gated exactly)",
-					al, *entry.AllocsPerOp)
-			case al < *entry.AllocsPerOp:
-				row.Status = statusImproved
-				row.Note = "fewer allocations than baseline — consider regenerating with -update"
+			case !measured && e.Kind == kindReport:
+				row.Status = statusSkipped
+			case !ran:
+				row.Status, row.Note = statusMissing, "benchmark did not run"
+			case !measured:
+				row.Status, row.Note = statusMissing, "no "+unit+" metric reported"
 			default:
-				row.Status = statusOK
+				row.Change, row.Status, row.Note = judge(e.Kind, e.Value, v, tol)
+				if update && e.Kind != kindCeiling {
+					e.Value, changed = v, true
+				}
 			}
 			rows = append(rows, row)
 		}
-	}
-	if update && changed {
-		out, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return nil, err
+		for _, unit := range slices.Sorted(maps.Keys(otherTiers)) {
+			if applies[unit] {
+				continue
+			}
+			key := unit + "@" + tier
+			rows = append(rows, gateRow{File: file, Name: name, Metric: key, Status: statusMissing,
+				Note: fmt.Sprintf("no baseline for kernel tier %q (recorded: %s) — record one with -update on this host",
+					tier, strings.Join(otherTiers[unit], ", "))})
+			if v, ok := got.Metrics[unit]; ok && update {
+				metrics[key] = &entry{Value: v, Kind: metrics[unit+"@"+otherTiers[unit][0]].Kind}
+				changed = true
+			}
 		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			return nil, err
-		}
 	}
-	return rows, nil
+	return rows, changed
+}
+
+// judge compares one applicable, measured metric against its baseline.
+func judge(kind string, base, fresh, tol float64) (change float64, status, note string) {
+	if base != 0 {
+		change = fresh/base - 1
+	}
+	if kind == kindHigher {
+		change = -change // normalize: positive change = regression
+	}
+	switch {
+	case kind == kindReport:
+		return change, statusReport, ""
+	case kind == kindCeiling && fresh > base:
+		return change, statusFail, "breached the absolute ceiling"
+	case kind == kindCeiling:
+		return change, statusOK, "absolute ceiling, not a relative gate"
+	case kind == kindExact && fresh > base:
+		return change, statusFail, fmt.Sprintf("rose to %g from %g (gated exactly)", fresh, base)
+	case kind == kindExact && fresh < base:
+		return change, statusImproved, "below the exact baseline — consider regenerating with -update"
+	case kind == kindExact:
+		return change, statusOK, ""
+	case change > tol:
+		return change, statusFail, fmt.Sprintf("regressed %.1f%% (tolerance %.0f%%)", change*100, tol*100)
+	case change < -tol:
+		return change, statusImproved, "better than baseline — consider regenerating with -update"
+	}
+	return change, statusOK, ""
 }
 
 func severity(status string) int {
-	switch status {
-	case statusFail:
-		return 0
-	case statusMissing:
-		return 1
-	case statusImproved:
-		return 2
-	case statusOK:
-		return 3
-	default:
-		return 4
-	}
+	return slices.Index([]string{statusFail, statusMissing, statusImproved, statusOK, statusReport, statusSkipped}, status)
 }
 
-// compare gates one metric. higherBetter selects the direction (GFLOPS)
-// versus cost metrics (sim_ms).
-func compare(file, name, metric string, base, fresh, tol float64, higherBetter bool) gateRow {
-	row := gateRow{File: file, Name: name, Metric: metric, Base: base, Fresh: fresh}
-	if base <= 0 {
-		row.Status = statusSkipped
-		row.Note = "no baseline value"
-		return row
+// encode renders a baseline file with one metric entry per line and keys in
+// sorted order, so an -update diff shows exactly the values that moved.
+func encode(b *baseline) []byte {
+	var buf bytes.Buffer
+	js := func(v any) string {
+		var sb strings.Builder
+		enc := json.NewEncoder(&sb)
+		enc.SetEscapeHTML(false)
+		enc.Encode(v) // strings and entries always encode
+		return strings.TrimSuffix(sb.String(), "\n")
 	}
-	change := fresh/base - 1
-	if higherBetter {
-		change = -change // normalize: positive change = regression
+	comma := func(i, n int) string {
+		if i < n-1 {
+			return ","
+		}
+		return ""
 	}
-	row.Change = change
-	switch {
-	case change > tol:
-		row.Status = statusFail
-		row.Note = fmt.Sprintf("regressed %.1f%% (tolerance %.0f%%)", change*100, tol*100)
-	case change < -tol:
-		row.Status = statusImproved
-		row.Note = "faster than baseline — consider regenerating with -update"
-	default:
-		row.Status = statusOK
+	fmt.Fprintf(&buf, "{\n  \"description\": %s,\n  \"benchmarks\": {\n", js(b.Description))
+	names := slices.Sorted(maps.Keys(b.Benchmarks))
+	for i, name := range names {
+		fmt.Fprintf(&buf, "    %s: {\n", js(name))
+		metrics := b.Benchmarks[name]
+		keys := slices.Sorted(maps.Keys(metrics))
+		for j, key := range keys {
+			fmt.Fprintf(&buf, "      %s: %s%s\n", js(key), js(metrics[key]), comma(j, len(keys)))
+		}
+		fmt.Fprintf(&buf, "    }%s\n", comma(i, len(names)))
 	}
-	return row
+	buf.WriteString("  }\n}\n")
+	return buf.Bytes()
 }
+
+// hasFresh reports whether a row carries a fresh measurement to print.
+func hasFresh(r gateRow) bool { return r.Status != statusMissing && r.Status != statusSkipped }
 
 func printTable(w io.Writer, rows []gateRow) {
-	fmt.Fprintf(w, "%-18s %-42s %-7s %12s %12s %8s  %-8s %s\n",
+	fmt.Fprintf(w, "%-18s %-42s %-18s %12s %12s %8s  %-8s %s\n",
 		"baseline", "benchmark", "metric", "base", "fresh", "delta", "status", "note")
 	for _, r := range rows {
 		fresh, delta := "-", "-"
-		if r.Status != statusMissing && r.Status != statusSkipped {
+		if hasFresh(r) {
 			fresh = fmt.Sprintf("%.4g", r.Fresh)
 			delta = fmt.Sprintf("%+.1f%%", r.Change*100)
 		}
-		fmt.Fprintf(w, "%-18s %-42s %-7s %12.4g %12s %8s  %-8s %s\n",
+		fmt.Fprintf(w, "%-18s %-42s %-18s %12.4g %12s %8s  %-8s %s\n",
 			r.File, r.Name, r.Metric, r.Base, fresh, delta, r.Status, r.Note)
 	}
 }
@@ -624,12 +346,12 @@ func writeMarkdown(w io.Writer, rows []gateRow, tol float64, tier string) {
 	fmt.Fprintln(w, "|---|---|---|---|---|---|---|")
 	for _, r := range rows {
 		fresh, delta := "—", "—"
-		if r.Status != statusMissing && r.Status != statusSkipped {
+		if hasFresh(r) {
 			fresh = fmt.Sprintf("%.4g", r.Fresh)
 			delta = fmt.Sprintf("%+.1f%%", r.Change*100)
 		}
 		icon := map[string]string{
-			statusOK: "✅", statusFail: "❌", statusImproved: "🚀", statusMissing: "⚠️", statusSkipped: "➖",
+			statusOK: "✅", statusFail: "❌", statusImproved: "🚀", statusMissing: "⚠️", statusReport: "➖", statusSkipped: "➖",
 		}[r.Status]
 		fmt.Fprintf(w, "| %s %s | %s | %s | %s | %.4g | %s | %s |\n",
 			icon, r.Status, r.File, r.Name, r.Metric, r.Base, fresh, delta)

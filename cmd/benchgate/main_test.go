@@ -1,98 +1,88 @@
 package main
 
 import (
-	"encoding/json"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// writeTestBaselines populates dir with miniature copies of the three
-// checked-in baseline files.
-func writeTestBaselines(t *testing.T, dir string) {
-	t.Helper()
-	files := map[string]string{
-		"BENCH_comm.json": `{
-  "description": "test",
+// fixture is a synthetic BENCH_x.json with every kind, a tier-keyed unit and
+// a unit carrying both a ceiling and a tier-qualified reference. It is in
+// the writer's canonical form (TestEncodeIsCanonical), so -update diffs of
+// it are line-exact.
+const fixture = `{
+  "description": "synthetic",
   "benchmarks": {
-    "BenchmarkAllReduceTree": { "ns_per_op": 50000000, "sim_ms": 5.0 },
-    "BenchmarkAllReduceHier": { "ns_per_op": 300000,   "sim_ms": 3.4 }
+    "Ceil": {
+      "ns/op": {"value":2000,"kind":"ceiling"},
+      "ns/op@avx512": {"value":800,"kind":"report"}
+    },
+    "Exact": {
+      "allocs/op": {"value":0,"kind":"exact"}
+    },
+    "Higher": {
+      "mean-batch": {"value":8,"kind":"report"},
+      "req/s": {"value":1000,"kind":"higher"}
+    },
+    "Lower": {
+      "ns/op": {"value":100,"kind":"report"},
+      "sim_ms": {"value":5,"kind":"lower"}
+    },
+    "Tiered": {
+      "GFLOPS@avx2": {"value":10,"kind":"higher"},
+      "GFLOPS@avx512": {"value":20,"kind":"higher"},
+      "GFLOPS@pre-engine": {"value":2,"kind":"report"}
+    }
   }
-}`,
-		"BENCH_overlap.json": `{
-  "description": "test",
-  "benchmarks": {
-    "BenchmarkAllReduceBucketed4": { "ns_per_op": 33000000, "sim_ms": 1.25 }
-  }
-}`,
-		"BENCH_gemm.json": `{
-  "description": "test",
-  "benchmarks": [
-    { "name": "GEMM/20x500x576", "ns_op": 748799, "gflops_by_tier": { "avx512": 15.0 }, "allocs_op": 0 },
-    { "name": "MatVec", "ns_op": 142653, "allocs_op": 0 },
-    { "name": "Conv2DForward (LeNet conv2, batch 16)", "ns_op": 3219204 }
-  ]
-}`,
-		"BENCH_sim.json": `{
-  "description": "test",
-  "benchmarks": {
-    "BenchmarkSimThroughput":        { "ns_per_op": 250, "events_per_sec": 8000000 },
-    "BenchmarkSimSteadyStateAllocs": { "ns_per_op": 45, "allocs_per_op": 0 },
-    "BenchmarkAllReduceP1024":       { "ns_per_op": 6000000, "sim_ms": 5.2, "max_ns_per_op": 10000000 }
-  }
-}`,
+}
+`
+
+// atBaseline is a fresh run that meets every fixture baseline under avx512.
+func atBaseline() map[string]map[string]float64 {
+	return map[string]map[string]float64{
+		"Ceil":   {"ns/op": 800},
+		"Exact":  {"allocs/op": 0},
+		"Higher": {"req/s": 1000, "mean-batch": 8},
+		"Lower":  {"sim_ms": 5, "ns/op": 100},
+		"Tiered": {"GFLOPS": 20},
 	}
-	for name, body := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
-// simVals are the BENCH_sim.json-gated metrics of a fake bench run.
-type simVals struct {
-	events, allocs, p1024Ns, p1024SimMS float64
-}
-
-// simAtBaseline passes every BENCH_sim.json gate.
-var simAtBaseline = simVals{events: 8000000, allocs: 0, p1024Ns: 6000000, p1024SimMS: 5.2}
-
-// benchText renders a fake `go test -bench` output with the given sim_ms
-// and GFLOPS values and the sim-kernel metrics at baseline.
-func benchText(treeSimMS, hierSimMS, bucketSimMS, gflops float64) string {
-	return benchTextSim(treeSimMS, hierSimMS, bucketSimMS, gflops, simAtBaseline)
-}
-
-func benchTextSim(treeSimMS, hierSimMS, bucketSimMS, gflops float64, s simVals) string {
+// benchText renders fresh results as `go test -bench` output.
+func benchText(fresh map[string]map[string]float64) string {
 	var sb strings.Builder
-	sb.WriteString("goos: linux\ngoarch: amd64\npkg: scaledl/internal/comm\n")
-	w := func(name string, metrics string) {
-		sb.WriteString(name + "-1 \t 10\t " + metrics + "\n")
+	sb.WriteString("goos: linux\ngoarch: amd64\npkg: scaledl/x\n")
+	for _, name := range slices.Sorted(maps.Keys(fresh)) {
+		sb.WriteString("Benchmark" + name + "-2 \t 10\t")
+		for _, unit := range slices.Sorted(maps.Keys(fresh[name])) {
+			sb.WriteString(" " + strconv.FormatFloat(fresh[name][unit], 'g', -1, 64) + " " + unit + "\t")
+		}
+		sb.WriteString("\n")
 	}
-	w("BenchmarkAllReduceTree", f(50000000)+" ns/op\t "+f(treeSimMS)+" sim_ms")
-	w("BenchmarkAllReduceHier", f(300000)+" ns/op\t "+f(hierSimMS)+" sim_ms")
-	w("BenchmarkAllReduceBucketed4", f(33000000)+" ns/op\t "+f(bucketSimMS)+" sim_ms")
-	w("BenchmarkGEMM/20x500x576", f(748799)+" ns/op\t "+f(gflops)+" GFLOPS\t 0 B/op\t 0 allocs/op")
-	w("BenchmarkSimThroughput", f(250)+" ns/op\t "+f(s.events)+" events/sec\t 0 B/op\t 0 allocs/op")
-	w("BenchmarkSimSteadyStateAllocs", f(45)+" ns/op\t 0 B/op\t "+f(s.allocs)+" allocs/op")
-	w("BenchmarkAllReduceP1024", f(s.p1024Ns)+" ns/op\t "+f(s.p1024SimMS)+" sim_ms")
-	return sb.String()
+	return sb.String() + "PASS\n"
 }
 
-func f(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// runGate writes benchOut to a file and gates it against dir's baselines
-// under the tier the test fixtures record.
-func runGate(t *testing.T, dir, benchOut string, update bool) []gateRow {
-	return runGateTier(t, dir, benchOut, "avx512", update)
-}
-
-func runGateTier(t *testing.T, dir, benchOut, tier string, update bool) []gateRow {
+// writeFixture puts the fixture in a fresh directory as BENCH_x.json.
+func writeFixture(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(path, []byte(benchOut), 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_x.json"), []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// runGate gates fresh (through the bench-output parser) against dir.
+func runGate(t *testing.T, dir, tier string, fresh map[string]map[string]float64, update bool) []gateRow {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bench.txt")
+	if err := os.WriteFile(path, []byte(benchText(fresh)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	results, err := parseBenchFile(path)
@@ -106,315 +96,307 @@ func runGateTier(t *testing.T, dir, benchOut, tier string, update bool) []gateRo
 	return rows
 }
 
-func countStatus(rows []gateRow, status string) int {
-	n := 0
-	for _, r := range rows {
-		if r.Status == status {
-			n++
-		}
+func gated(status string) bool { return status != statusReport && status != statusSkipped }
+
+// One table covers every kind: a case names the rows it expects not to be
+// ok (keyed "bench metric-key"); every other gated row must be ok.
+func TestGate(t *testing.T) {
+	tests := []struct {
+		name string
+		tier string
+		set  map[string]float64 // "bench unit" → fresh value
+		drop string             // "bench" or "bench unit" left out of the run
+		want map[string]string
+	}{
+		{name: "at_baseline"},
+		{name: "lower_within_tolerance", set: map[string]float64{"Lower sim_ms": 5.7}},
+		{name: "lower_past_tolerance", set: map[string]float64{"Lower sim_ms": 5.8},
+			want: map[string]string{"Lower sim_ms": statusFail}},
+		{name: "lower_better", set: map[string]float64{"Lower sim_ms": 4},
+			want: map[string]string{"Lower sim_ms": statusImproved}},
+		{name: "higher_past_tolerance", set: map[string]float64{"Higher req/s": 840},
+			want: map[string]string{"Higher req/s": statusFail}},
+		{name: "higher_better", set: map[string]float64{"Higher req/s": 1200},
+			want: map[string]string{"Higher req/s": statusImproved}},
+		{name: "exact_plus_one", set: map[string]float64{"Exact allocs/op": 1},
+			want: map[string]string{"Exact allocs/op": statusFail}},
+		{name: "ceiling_breach", set: map[string]float64{"Ceil ns/op": 2001},
+			want: map[string]string{"Ceil ns/op": statusFail}},
+		{name: "ceiling_far_below_is_ok", set: map[string]float64{"Ceil ns/op": 100}},
+		{name: "tier_GFLOPS_past_tolerance", set: map[string]float64{"Tiered GFLOPS": 16.8},
+			want: map[string]string{"Tiered GFLOPS@avx512": statusFail}},
+		{name: "tier_gates_its_own_key", tier: "avx2",
+			want: map[string]string{"Tiered GFLOPS@avx2": statusImproved}},
+		{name: "tier_with_no_key", tier: "neon", set: map[string]float64{"Tiered GFLOPS": 7.5},
+			want: map[string]string{"Tiered GFLOPS@neon": statusMissing}},
+		{name: "benchmark_did_not_run", drop: "Lower",
+			want: map[string]string{"Lower sim_ms": statusMissing}},
+		{name: "metric_not_reported", drop: "Higher req/s",
+			want: map[string]string{"Higher req/s": statusMissing}},
 	}
-	return n
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			tier := tc.tier
+			if tier == "" {
+				tier = "avx512"
+			}
+			fresh := atBaseline()
+			for k, v := range tc.set {
+				name, unit, _ := strings.Cut(k, " ")
+				fresh[name][unit] = v
+			}
+			if name, unit, ok := strings.Cut(tc.drop, " "); ok {
+				delete(fresh[name], unit)
+			} else {
+				delete(fresh, name)
+			}
+			rows := runGate(t, writeFixture(t), tier, fresh, false)
+
+			seen := map[string]bool{}
+			for i, r := range rows {
+				key := r.Name + " " + r.Metric
+				seen[key] = true
+				if _, q, ok := strings.Cut(r.Metric, "@"); ok && q != tier {
+					t.Errorf("%s: key of another tier produced a row", key)
+				}
+				if i > 0 && severity(r.Status) < severity(rows[i-1].Status) {
+					t.Errorf("rows not sorted most severe first: %+v", rows)
+				}
+				want, ok := tc.want[key]
+				if !ok && gated(r.Status) {
+					want = statusOK
+				}
+				if ok || gated(r.Status) {
+					if r.Status != want {
+						t.Errorf("%s: status %s, want %s (%+v)", key, r.Status, want, r)
+					}
+				}
+				if r.Status == statusMissing && strings.HasPrefix(r.Metric, "GFLOPS@") &&
+					(!strings.Contains(r.Note, `"neon"`) || !strings.Contains(r.Note, "avx2, avx512")) {
+					t.Errorf("MISSING-tier note should name the missing and recorded tiers: %q", r.Note)
+				}
+			}
+			for key := range tc.want {
+				if !seen[key] {
+					t.Errorf("no row for %s: %+v", key, rows)
+				}
+			}
+			if tc.name == "at_baseline" {
+				// 5 gated rows + the 3 applicable references; the avx2 and
+				// pre-engine keys stay silent.
+				if len(rows) != 8 {
+					t.Errorf("%d rows at baseline, want 8: %+v", len(rows), rows)
+				}
+			}
+		})
+	}
 }
 
-// At baseline values the gate passes every gated metric and skips the
-// host-speed (ns-only) entries.
-func TestGatePassesAtBaseline(t *testing.T) {
-	dir := t.TempDir()
-	writeTestBaselines(t, dir)
-	rows := runGate(t, dir, benchText(5.0, 3.4, 1.25, 15.0), false)
-	if n := countStatus(rows, statusFail); n != 0 {
-		t.Errorf("%d FAIL rows at baseline: %+v", n, rows)
-	}
-	// 4 sim_ms/GFLOPS gates + events/sec + allocs/op + P1024 sim_ms + P1024
-	// ns/op ceiling.
-	if n := countStatus(rows, statusOK); n != 8 {
-		t.Errorf("%d ok rows, want 8 gated metrics", n)
-	}
-	if n := countStatus(rows, statusSkipped); n != 2 {
-		t.Errorf("%d skipped rows, want 2 ns-only entries", n)
-	}
-}
-
-// Drift inside the 15% tolerance passes; a >15% sim_ms regression fails —
-// the injected-regression demonstration of the CI gate.
-func TestGateFailsOnInjectedSimRegression(t *testing.T) {
-	dir := t.TempDir()
-	writeTestBaselines(t, dir)
-	// +10% on one sim_ms: within tolerance.
-	rows := runGate(t, dir, benchText(5.5, 3.4, 1.25, 15.0), false)
-	if countStatus(rows, statusFail) != 0 {
-		t.Errorf("10%% drift flagged as regression: %+v", rows)
-	}
-	// +20% on one sim_ms: must fail.
-	rows = runGate(t, dir, benchText(6.0, 3.4, 1.25, 15.0), false)
-	if countStatus(rows, statusFail) != 1 {
-		t.Errorf("injected 20%% sim_ms regression not caught: %+v", rows)
-	}
-	if rows[0].Name != "AllReduceTree" || rows[0].Status != statusFail {
-		t.Errorf("FAIL row not sorted first: %+v", rows[0])
-	}
-}
-
-// A >15% GFLOPS drop fails; a GFLOPS gain is an improvement, not a failure.
-func TestGateFailsOnInjectedGFLOPSRegression(t *testing.T) {
-	dir := t.TempDir()
-	writeTestBaselines(t, dir)
-	rows := runGate(t, dir, benchText(5.0, 3.4, 1.25, 12.0), false) // -20%
-	if countStatus(rows, statusFail) != 1 {
-		t.Errorf("injected GFLOPS regression not caught: %+v", rows)
-	}
-	rows = runGate(t, dir, benchText(5.0, 3.4, 1.25, 30.0), false) // +100%
-	if countStatus(rows, statusFail) != 0 || countStatus(rows, statusImproved) != 1 {
-		t.Errorf("GFLOPS improvement misclassified: %+v", rows)
-	}
-}
-
-// A gated baseline whose benchmark never ran is a gate-integrity failure
-// (someone narrowed the -bench pattern).
-func TestGateFlagsMissingBenchmark(t *testing.T) {
-	dir := t.TempDir()
-	writeTestBaselines(t, dir)
-	out := benchText(5.0, 3.4, 1.25, 15.0)
-	out = strings.ReplaceAll(out, "BenchmarkAllReduceHier", "BenchmarkSomethingElse")
-	rows := runGate(t, dir, out, false)
-	if countStatus(rows, statusMissing) != 1 {
-		t.Errorf("missing benchmark not flagged: %+v", rows)
-	}
-}
-
-// -update rewrites the gated metrics in place; a rerun against the fresh
-// values then passes.
+// -update rewrites every applicable measured value but never a ceiling,
+// records a key for a new tier, and leaves other tiers' lines byte-identical.
 func TestGateUpdateRewritesBaselines(t *testing.T) {
-	dir := t.TempDir()
-	writeTestBaselines(t, dir)
-	out := benchText(6.5, 3.4, 1.25, 18.0)
-	if rows := runGate(t, dir, out, false); countStatus(rows, statusFail) != 1 {
-		t.Fatalf("expected one failure before update: %+v", rows)
-	}
-	runGate(t, dir, out, true)
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_comm.json"))
+	dir := writeFixture(t)
+	path := filepath.Join(dir, "BENCH_x.json")
+	fresh := atBaseline()
+	fresh["Lower"]["sim_ms"] = 6.5
+	fresh["Lower"]["ns/op"] = 120
+	fresh["Higher"]["req/s"] = 1300
+	fresh["Higher"]["mean-batch"] = 7.9
+	fresh["Ceil"]["ns/op"] = 2500
+	fresh["Tiered"]["GFLOPS"] = 25
+
+	runGate(t, dir, "avx512", fresh, true)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var base simBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
+	b, err := loadBaseline(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := base.Benchmarks["BenchmarkAllReduceTree"].SimMS; got != 6.5 {
-		t.Errorf("sim_ms not rewritten: %v", got)
-	}
-	if rows := runGate(t, dir, out, false); countStatus(rows, statusFail) != 0 {
-		t.Errorf("gate still failing after -update: %+v", rows)
-	}
-}
-
-// events/sec is a higher-better gate: a throughput drop beyond tolerance
-// fails, a gain is an improvement.
-func TestGateEventsPerSecHigherBetter(t *testing.T) {
-	dir := t.TempDir()
-	writeTestBaselines(t, dir)
-	s := simAtBaseline
-	s.events = 6000000 // -25%
-	rows := runGate(t, dir, benchTextSim(5.0, 3.4, 1.25, 15.0, s), false)
-	if countStatus(rows, statusFail) != 1 {
-		t.Errorf("events/sec regression not caught: %+v", rows)
-	}
-	s.events = 10000000 // +25%
-	rows = runGate(t, dir, benchTextSim(5.0, 3.4, 1.25, 15.0, s), false)
-	if countStatus(rows, statusFail) != 0 || countStatus(rows, statusImproved) != 1 {
-		t.Errorf("events/sec improvement misclassified: %+v", rows)
-	}
-}
-
-// allocs_per_op is gated exactly: one allocation on the steady-state hot
-// path fails regardless of tolerance.
-func TestGateFailsOnSingleAllocRegression(t *testing.T) {
-	dir := t.TempDir()
-	writeTestBaselines(t, dir)
-	s := simAtBaseline
-	s.allocs = 1
-	rows := runGate(t, dir, benchTextSim(5.0, 3.4, 1.25, 15.0, s), false)
-	if countStatus(rows, statusFail) != 1 {
-		t.Errorf("single-alloc regression not caught: %+v", rows)
-	}
-}
-
-// max_ns_per_op is an absolute ceiling: real CPU cost above it fails even
-// when the relative metrics pass, and -update never rewrites the ceiling.
-func TestGateCeilingIsAbsoluteAndSticky(t *testing.T) {
-	dir := t.TempDir()
-	writeTestBaselines(t, dir)
-	s := simAtBaseline
-	s.p1024Ns = 12000000 // over the 10 ms ceiling
-	rows := runGate(t, dir, benchTextSim(5.0, 3.4, 1.25, 15.0, s), false)
-	failed := false
-	for _, r := range rows {
-		if r.Status == statusFail && r.Metric == "ns/op" {
-			failed = true
+	for key, want := range map[string]float64{
+		"Lower sim_ms": 6.5, "Lower ns/op": 120, "Higher req/s": 1300, "Higher mean-batch": 7.9,
+		"Ceil ns/op": 2000, "Ceil ns/op@avx512": 2500, "Tiered GFLOPS@avx512": 25,
+		"Tiered GFLOPS@avx2": 10, "Tiered GFLOPS@pre-engine": 2, "Exact allocs/op": 0,
+	} {
+		name, metric, _ := strings.Cut(key, " ")
+		if got := b.Benchmarks[name][metric].Value; got != want {
+			t.Errorf("after -update %s = %v, want %v", key, got, want)
 		}
 	}
-	if !failed {
-		t.Errorf("ceiling breach not caught: %+v", rows)
-	}
-	runGate(t, dir, benchTextSim(5.0, 3.4, 1.25, 15.0, s), true)
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_sim.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base simKernelBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
-	}
-	entry := base.Benchmarks["BenchmarkAllReduceP1024"]
-	if entry.MaxNsPerOp != 10000000 {
-		t.Errorf("-update rewrote the ceiling: %d", entry.MaxNsPerOp)
-	}
-	if entry.NsPerOp != 12000000 {
-		t.Errorf("-update did not rewrite ns_per_op: %d", entry.NsPerOp)
-	}
-}
-
-// GFLOPS baselines are tier-keyed: gating under a tier with no recorded
-// value reports MISSING (with the recorded tiers named), never a bogus
-// comparison against another tier's number; -update under that tier records
-// the new key without touching the existing ones.
-func TestGateTierKeyedGFLOPS(t *testing.T) {
-	dir := t.TempDir()
-	writeTestBaselines(t, dir)
-	// 7.5 GFLOPS would be a 50% "regression" against the avx512 baseline;
-	// under the neon tier it must surface as MISSING instead.
-	out := benchText(5.0, 3.4, 1.25, 7.5)
-	rows := runGateTier(t, dir, out, "neon", false)
-	found := false
-	for _, r := range rows {
-		if r.File == "BENCH_gemm.json" && r.Status == statusMissing {
-			found = true
-			if !strings.Contains(r.Note, `"neon"`) || !strings.Contains(r.Note, "avx512") {
-				t.Errorf("MISSING-tier note should name the missing and recorded tiers: %q", r.Note)
+	for _, line := range strings.Split(fixture, "\n") {
+		if strings.Contains(line, `"ceiling"`) || strings.Contains(line, "@avx2") || strings.Contains(line, "@pre-engine") {
+			if !strings.Contains(string(raw), line+"\n") {
+				t.Errorf("-update changed %q", strings.TrimSpace(line))
 			}
 		}
-		if r.File == "BENCH_gemm.json" && r.Status == statusFail {
-			t.Errorf("cross-tier comparison produced a bogus regression: %+v", r)
+	}
+	// The ceiling still fails: -update accepts measurements, not breaches.
+	rows := runGate(t, dir, "avx512", fresh, false)
+	for _, r := range rows {
+		if gated(r.Status) && r.Status != statusOK && !(r.Name == "Ceil" && r.Status == statusFail) {
+			t.Errorf("after -update: %+v", r)
 		}
 	}
-	if !found {
-		t.Fatalf("missing tier baseline not flagged: %+v", rows)
-	}
 
-	runGateTier(t, dir, out, "neon", true)
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_gemm.json"))
+	// A tier with no key gets one; every other line stays as it was.
+	fresh["Ceil"]["ns/op"] = 800
+	fresh["Tiered"]["GFLOPS"] = 7.5
+	runGate(t, dir, "neon", fresh, true)
+	neon, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var base gemmBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
+	added := `      "GFLOPS@neon": {"value":7.5,"kind":"higher"},` + "\n"
+	if string(neon) != strings.Replace(string(raw), `      "GFLOPS@pre-engine"`, added+`      "GFLOPS@pre-engine"`, 1) {
+		t.Errorf("-update under a new tier should add exactly one line:\n%s", neon)
 	}
-	got := base.Benchmarks[0].GFLOPSByTier
-	if got["neon"] != 7.5 || got["avx512"] != 15.0 {
-		t.Errorf("-update should add the neon key and keep avx512: %v", got)
-	}
-	if rows := runGateTier(t, dir, out, "neon", false); countStatus(rows, statusFail)+countStatus(rows, statusMissing) != 0 {
-		t.Errorf("gate still unhappy after recording the tier: %+v", rows)
+	for _, r := range runGate(t, dir, "neon", fresh, false) {
+		if gated(r.Status) && r.Status != statusOK {
+			t.Errorf("after recording the tier: %+v", r)
+		}
 	}
 }
 
-// The real checked-in baselines parse and every gated entry has a matching
-// benchmark name shape (guards against renames drifting past the gate).
-// BENCH_serve.json gates req/s higher-better with the tolerance and
-// allocs/op exactly; -update records mean_batch without gating it.
-func TestGateServe(t *testing.T) {
-	dir := t.TempDir()
-	baseline := `{
-  "description": "test",
-  "benchmarks": {
-    "BenchmarkServeSolo":      { "ns_per_op": 32000, "req_per_sec": 31000, "allocs_per_op": 0 },
-    "BenchmarkServeCoalesced": { "ns_per_op": 25000, "req_per_sec": 39000, "allocs_per_op": 0, "mean_batch": 8.0 }
-  }
-}`
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_serve.json"), []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bench := func(soloRPS, coalRPS, coalAllocs float64) string {
-		return "BenchmarkServeSolo-1 \t 10\t 32000 ns/op\t " + f(soloRPS) + " req/s\t 0 B/op\t 0 allocs/op\n" +
-			"BenchmarkServeCoalesced-1 \t 10\t 25000 ns/op\t 7.9 mean-batch\t " + f(coalRPS) +
-			" req/s\t 0 B/op\t " + f(coalAllocs) + " allocs/op\n"
-	}
-
-	// At baseline everything passes: 2 req/s gates + 2 allocs gates.
-	rows := runGate(t, dir, bench(31000, 39000, 0), false)
-	serveOK := 0
-	for _, r := range rows {
-		if r.File == "BENCH_serve.json" {
-			if r.Status != statusOK {
-				t.Errorf("at baseline: %+v", r)
-			}
-			serveOK++
-		}
-	}
-	if serveOK != 4 {
-		t.Errorf("gated %d serve rows, want 4", serveOK)
-	}
-
-	// Throughput is higher-better: a drop beyond tolerance fails, a gain
-	// reports improved.
-	rows = runGate(t, dir, bench(31000, 20000, 0), false)
-	if !hasRow(rows, "ServeCoalesced", "req/s", statusFail) {
-		t.Errorf("throughput collapse not failed: %+v", rows)
-	}
-	rows = runGate(t, dir, bench(31000, 60000, 0), false)
-	if !hasRow(rows, "ServeCoalesced", "req/s", statusImproved) {
-		t.Errorf("throughput gain not improved: %+v", rows)
-	}
-
-	// One allocation in the hot path fails regardless of tolerance.
-	rows = runGate(t, dir, bench(31000, 39000, 1), false)
-	if !hasRow(rows, "ServeCoalesced", "allocs/op", statusFail) {
-		t.Errorf("alloc regression not failed: %+v", rows)
-	}
-
-	// -update rewrites req/s and mean_batch from the fresh run.
-	runGate(t, dir, bench(35000, 41000, 0), true)
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_serve.json"))
+// The writer's output is the fixture byte for byte, and decodes back.
+func TestEncodeIsCanonical(t *testing.T) {
+	b, err := loadBaseline([]byte(fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var updated serveBaseline
-	if err := json.Unmarshal(raw, &updated); err != nil {
-		t.Fatal(err)
-	}
-	coal := updated.Benchmarks["BenchmarkServeCoalesced"]
-	if coal.ReqPerSec != 41000 || coal.MeanBatch != 7.9 {
-		t.Errorf("update wrote req_per_sec=%v mean_batch=%v", coal.ReqPerSec, coal.MeanBatch)
-	}
-	if updated.Benchmarks["BenchmarkServeSolo"].ReqPerSec != 35000 {
-		t.Errorf("update wrote solo req_per_sec=%v", updated.Benchmarks["BenchmarkServeSolo"].ReqPerSec)
+	if got := string(encode(b)); got != fixture {
+		t.Errorf("encode differs from the canonical fixture:\n%s", got)
 	}
 }
 
-func hasRow(rows []gateRow, name, metric, status string) bool {
-	for _, r := range rows {
-		if r.Name == name && r.Metric == metric && r.Status == status {
-			return true
+// A malformed baseline is a load error naming the file, never a silently
+// ungated metric.
+func TestLoadRejects(t *testing.T) {
+	ok := `{"description":"d","benchmarks":{"B":{"sim_ms":{"value":1,"kind":"lower"}}}}`
+	if _, err := loadBaseline([]byte(ok)); err != nil {
+		t.Fatalf("valid baseline rejected: %v", err)
+	}
+	for name, body := range map[string]string{
+		"unknown kind":        `{"description":"d","benchmarks":{"B":{"sim_ms":{"value":1,"kind":"less"}}}}`,
+		"missing kind":        `{"description":"d","benchmarks":{"B":{"sim_ms":{"value":1}}}}`,
+		"unknown entry field": `{"description":"d","benchmarks":{"B":{"sim_ms":{"value":1,"kind":"lower","tol":0.1}}}}`,
+		"unknown file field":  `{"description":"d","notes":"n","benchmarks":{"B":{"sim_ms":{"value":1,"kind":"lower"}}}}`,
+		"repeated qualifier":  `{"description":"d","benchmarks":{"B":{"GFLOPS@avx2":{"value":1,"kind":"higher"},"GFLOPS@avx2":{"value":2,"kind":"higher"}}}}`,
+		"repeated benchmark":  `{"description":"d","benchmarks":{"B":{"sim_ms":{"value":1,"kind":"lower"}},"B":{"ns/op":{"value":1,"kind":"report"}}}}`,
+		"empty qualifier":     `{"description":"d","benchmarks":{"B":{"GFLOPS@":{"value":1,"kind":"higher"}}}}`,
+		"double qualifier":    `{"description":"d","benchmarks":{"B":{"GFLOPS@a@b":{"value":1,"kind":"higher"}}}}`,
+		"empty unit":          `{"description":"d","benchmarks":{"B":{"@avx2":{"value":1,"kind":"higher"}}}}`,
+		"zero higher":         `{"description":"d","benchmarks":{"B":{"req/s":{"value":0,"kind":"higher"}}}}`,
+		"negative ceiling":    `{"description":"d","benchmarks":{"B":{"ns/op":{"value":-1,"kind":"ceiling"}}}}`,
+		"null entry":          `{"description":"d","benchmarks":{"B":{"sim_ms":null}}}`,
+		"no metrics":          `{"description":"d","benchmarks":{"B":{}}}`,
+		"no benchmarks":       `{"description":"d"}`,
+		"old shape":           `{"description":"d","benchmarks":{"BenchmarkX":{"ns_per_op":1,"sim_ms":1}}}`,
+		"trailing data":       ok + `{}`,
+		"not JSON":            `benchmarks`,
+	} {
+		if _, err := loadBaseline([]byte(body)); err == nil {
+			t.Errorf("%s: accepted %s", name, body)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "BENCH_bad.json"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gate(dir, "avx512", nil, 0.15, false); err == nil || !strings.Contains(err.Error(), "BENCH_bad.json") {
+			t.Errorf("%s: gate error %v should name the file", name, err)
 		}
 	}
-	return false
 }
 
+// The checked-in baselines load, and with no fresh results every gated
+// metric surfaces as MISSING — proving each one is actually gated.
 func TestRealBaselinesParse(t *testing.T) {
 	root := filepath.Join("..", "..")
-	results := map[string]benchResult{}
-	rows, err := gate(root, "avx512", results, 0.15, false)
+	paths, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checked-in BENCH_*.json: %v", err)
+	}
+	rows, err := gate(root, "avx512", map[string]benchResult{}, 0.15, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With no fresh results, every gated metric must surface as MISSING —
-	// proving the baselines parse and are all actually gated.
-	missing := countStatus(rows, statusMissing)
+	missing := 0
+	for _, r := range rows {
+		switch r.Status {
+		case statusMissing:
+			missing++
+		case statusSkipped:
+		default:
+			t.Errorf("unexpected %s row with empty fresh results: %+v", r.Status, r)
+		}
+	}
 	if missing == 0 {
 		t.Error("no gated baselines found in checked-in BENCH_*.json")
 	}
-	if countStatus(rows, statusFail) != 0 {
-		t.Errorf("unexpected FAIL with empty fresh results: %+v", rows)
+}
+
+func FuzzParseBench(f *testing.F) {
+	f.Add(benchText(atBaseline()))
+	f.Fuzz(func(t *testing.T, text string) {
+		results, err := parseBench(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		for name, r := range results {
+			if name == "" || r.Name != name {
+				t.Errorf("bad result name %q / %q", name, r.Name)
+			}
+			for unit, v := range r.Metrics {
+				// A NaN would compare as neither better nor worse: ok.
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Errorf("%s: non-finite %s %v accepted", name, unit, v)
+				}
+			}
+		}
+	})
+}
+
+func FuzzLoadBaseline(f *testing.F) {
+	f.Add([]byte(fixture))
+	paths, _ := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	for _, p := range paths {
+		if raw, err := os.ReadFile(p); err == nil {
+			f.Add(raw)
+		}
 	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		b, err := loadBaseline(raw)
+		if err != nil {
+			return
+		}
+		// With no fresh results, every applicable gated key is MISSING.
+		rows, changed := gateBaseline("BENCH_fuzz.json", b, "avx512", nil, 0.15, true)
+		if changed {
+			t.Error("-update with no fresh results changed the baseline")
+		}
+		missing := map[string]bool{}
+		for _, r := range rows {
+			if r.Status == statusMissing {
+				missing[r.Name+"\x00"+r.Metric] = true
+			} else if r.Status != statusSkipped {
+				t.Errorf("row %+v with no fresh results", r)
+			}
+		}
+		for name, metrics := range b.Benchmarks {
+			for key, e := range metrics {
+				_, q, _ := strings.Cut(key, "@")
+				if e.Kind != kindReport && (q == "" || q == "avx512") && !missing[name+"\x00"+key] {
+					t.Errorf("%s %s (%s) silently ungated", name, key, e.Kind)
+				}
+			}
+		}
+		// What -update writes, the loader reads back unchanged.
+		again, err := loadBaseline(encode(b))
+		if err != nil {
+			t.Fatalf("encoded baseline does not reload: %v\n%s", err, encode(b))
+		}
+		if !reflect.DeepEqual(again, b) {
+			t.Errorf("encode/load round trip changed the baseline")
+		}
+	})
 }

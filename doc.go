@@ -107,11 +107,13 @@
 //     batch-of-N forward equals N batch-of-1 forwards at fp32) and the
 //     steady-state batching hot path is allocation-free;
 //   - a CI benchmark-regression gate (cmd/benchgate) comparing fresh
-//     microbenchmark runs against the checked-in BENCH_*.json baselines:
-//     deterministic simulated collective times (sim_ms), GEMM GFLOPS and
-//     serving req/s are gated at 15% (serving allocs/op exactly), so
-//     performance drift fails the pull request instead of landing
-//     silently.
+//     microbenchmark runs against the checked-in BENCH_*.json baselines,
+//     one {value, kind} entry per (benchmark, metric): deterministic
+//     simulated collective times (sim_ms), tier-keyed GEMM GFLOPS,
+//     event-kernel events/sec and serving req/s are gated at 15%,
+//     allocs/op and events/op exactly, and the P=1024 sweep point's CPU
+//     time against an absolute ceiling, so performance drift fails the
+//     pull request instead of landing silently.
 //
 // # Execution model
 //

@@ -106,8 +106,8 @@ func TestHierSyncEASGDTauStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(24 / 6); res.Updates() != want {
-		t.Errorf("global center updates %d, want iterations/TauGlobal = %d", res.Updates(), want)
+	if want := int64(24 / 6); res.MasterUpdates != want {
+		t.Errorf("global center updates %d, want iterations/TauGlobal = %d", res.MasterUpdates, want)
 	}
 	if res.FinalAcc < 0.5 {
 		t.Errorf("hier-sync-easgd accuracy %.3f, should beat 0.5", res.FinalAcc)

@@ -254,8 +254,5 @@ type DropRecord struct {
 	Ranks []int // ascending rank ids
 }
 
-// Updates returns the master-side update count.
-func (r Result) Updates() int64 { return r.MasterUpdates }
-
 // ErrorRate returns 1 − FinalAcc, the quantity Figure 8 plots (log10).
 func (r Result) ErrorRate() float64 { return 1 - r.FinalAcc }

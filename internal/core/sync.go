@@ -55,10 +55,6 @@ func SyncEASGD3(cfg Config) (Result, error) {
 	return runSyncEASGD(cfg, "sync-easgd3", syncOpts{master: masterGPU, overlap: true})
 }
 
-// SyncEASGD is an alias for SyncEASGD3; Figures 6.4 and 8 plot "Sync
-// EASGD" meaning the EASGD3 implementation (§5.1).
-func SyncEASGD(cfg Config) (Result, error) { return SyncEASGD3(cfg) }
-
 type masterKind int
 
 const (

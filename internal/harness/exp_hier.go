@@ -231,7 +231,7 @@ func RunHier(o Options) (*Report, error) {
 			return nil, err
 		}
 		t3.AddRow(fmt.Sprintf("%d", tau.local), fmt.Sprintf("%d", tau.global),
-			fmt.Sprintf("%d", res.Updates()),
+			fmt.Sprintf("%d", res.MasterUpdates),
 			fmt.Sprintf("%.1f", res.SimTime/float64(easgdIters)*1e6),
 			fmt.Sprintf("%.3f", res.FinalAcc))
 	}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -87,70 +86,5 @@ func TestLoadRejectsTruncatedParams(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-10]
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated file accepted")
-	}
-}
-
-func TestSchedules(t *testing.T) {
-	if ConstantLR(0.1).At(500) != 0.1 {
-		t.Error("constant schedule moved")
-	}
-	sd := StepDecay{Base: 0.1, Gamma: 0.1, StepSize: 100}
-	if sd.At(0) != 0.1 {
-		t.Errorf("step at 0: %v", sd.At(0))
-	}
-	if got := sd.At(100); math.Abs(float64(got)-0.01) > 1e-9 {
-		t.Errorf("step at 100: %v", got)
-	}
-	if got := sd.At(250); math.Abs(float64(got)-0.001) > 1e-9 {
-		t.Errorf("step at 250: %v", got)
-	}
-	pd := PolyDecay{Base: 0.1, MaxIter: 100, Power: 1}
-	if got := pd.At(50); math.Abs(float64(got)-0.05) > 1e-7 {
-		t.Errorf("poly at 50: %v", got)
-	}
-	if pd.At(200) != 0 {
-		t.Errorf("poly past max: %v", pd.At(200))
-	}
-}
-
-func TestWarmupRampsThenDelegates(t *testing.T) {
-	w := Warmup{Base: 0.4, Div: 10, WarmupIters: 100, After: ConstantLR(0.4)}
-	if got := w.At(0); math.Abs(float64(got)-0.04) > 1e-6 {
-		t.Errorf("warmup start %v, want base/10", got)
-	}
-	mid := w.At(50)
-	if mid <= w.At(0) || mid >= 0.4 {
-		t.Errorf("warmup mid %v not between start and base", mid)
-	}
-	if got := w.At(100); got != 0.4 {
-		t.Errorf("post-warmup %v", got)
-	}
-	if got := w.At(5000); got != 0.4 {
-		t.Errorf("late %v", got)
-	}
-	prev := float32(0)
-	for tt := 0; tt < 100; tt += 10 {
-		v := w.At(tt)
-		if v < prev {
-			t.Fatalf("warmup not monotone at %d", tt)
-		}
-		prev = v
-	}
-}
-
-func TestLRScalingRules(t *testing.T) {
-	lin, err := LinearScaledLR(0.1, 64, 1024)
-	if err != nil || math.Abs(float64(lin)-1.6) > 1e-6 {
-		t.Errorf("linear scaling: %v, %v", lin, err)
-	}
-	sqrt, err := SqrtScaledLR(0.1, 64, 1024)
-	if err != nil || math.Abs(float64(sqrt)-0.4) > 1e-6 {
-		t.Errorf("sqrt scaling: %v, %v", sqrt, err)
-	}
-	if _, err := LinearScaledLR(0.1, 0, 64); err == nil {
-		t.Error("zero ref batch accepted")
-	}
-	if _, err := SqrtScaledLR(0.1, 64, 0); err == nil {
-		t.Error("zero batch accepted")
 	}
 }

@@ -428,40 +428,5 @@ type Model = nn.Model
 func BuildModel(def NetDef, seed int64) *Model { return nn.NewModel(def.Build(seed)) }
 
 // LoadModel restores a model saved with Model.Save (either the fp32 v1
-// format SaveNet always wrote or the int8 v2 format quantized models
-// write).
+// format or the int8 v2 format quantized models write).
 func LoadModel(r io.Reader) (*Model, error) { return nn.LoadModel(r) }
-
-// SaveNet serializes a trained network (architecture + packed parameters).
-//
-// Deprecated: use Model.Save via Result.Model or NewModel; SaveNet leaks
-// the internal net type. The bytes written are identical.
-func SaveNet(n *nn.Net, w io.Writer) error { return n.Save(w) }
-
-// LoadNet restores a network saved with SaveNet.
-//
-// Deprecated: use LoadModel; it accepts the same snapshots.
-func LoadNet(r io.Reader) (*nn.Net, error) { return nn.Load(r) }
-
-// LRSchedule and the schedule types support the §7.2 retuning rules.
-type (
-	// LRSchedule maps iteration → learning rate.
-	LRSchedule = nn.LRSchedule
-	// Warmup ramps linearly to the base rate, then delegates.
-	Warmup = nn.Warmup
-	// StepDecay is Caffe's "step" policy.
-	StepDecay = nn.StepDecay
-	// PolyDecay is Caffe's "poly" policy.
-	PolyDecay = nn.PolyDecay
-)
-
-// LinearScaledLR and SqrtScaledLR apply the batch-size scaling rules §7.2
-// alludes to.
-func LinearScaledLR(baseLR float32, refBatch, batch int) (float32, error) {
-	return nn.LinearScaledLR(baseLR, refBatch, batch)
-}
-
-// SqrtScaledLR is the conservative square-root scaling rule.
-func SqrtScaledLR(baseLR float32, refBatch, batch int) (float32, error) {
-	return nn.SqrtScaledLR(baseLR, refBatch, batch)
-}

@@ -149,16 +149,16 @@ func TestKNLFacade(t *testing.T) {
 
 func TestExtensionsFacade(t *testing.T) {
 	// Save/Load round trip through the facade.
-	net := TinyCNN(Shape{C: 1, H: 8, W: 8}, 3).Build(5)
+	m := BuildModel(TinyCNN(Shape{C: 1, H: 8, W: 8}, 3), 5)
 	var buf strings.Builder
-	if err := SaveNet(net, &buf); err != nil {
+	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadNet(strings.NewReader(buf.String()))
+	loaded, err := LoadModel(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.ParamCount() != net.ParamCount() {
+	if loaded.ParamCount() != m.ParamCount() {
 		t.Error("loaded model differs")
 	}
 
@@ -178,27 +178,14 @@ func TestExtensionsFacade(t *testing.T) {
 	if _, err := TrainKNLCluster(KNLClusterConfig{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
-
-	// LR schedules.
-	w := Warmup{Base: 0.4, Div: 10, WarmupIters: 10}
-	if w.At(10) != 0.4 {
-		t.Error("warmup facade broken")
-	}
-	if lr, err := LinearScaledLR(0.1, 32, 64); err != nil || lr != 0.2 {
-		t.Errorf("linear scaling: %v, %v", lr, err)
-	}
-	if lr, err := SqrtScaledLR(0.1, 64, 64); err != nil || lr != 0.1 {
-		t.Errorf("sqrt scaling: %v, %v", lr, err)
-	}
 }
 
-// The Model facade and the deprecated SaveNet/LoadNet wrappers share one
-// snapshot format: the bytes are identical, so existing snapshots keep
-// loading through either door.
+// Model.Save writes the v1 bytes the underlying network's own Save writes,
+// so snapshots taken through either door load through LoadModel.
 func TestModelFacade(t *testing.T) {
 	def := TinyCNN(Shape{C: 1, H: 8, W: 8}, 3)
 	var old bytes.Buffer
-	if err := SaveNet(def.Build(5), &old); err != nil {
+	if err := def.Build(5).Save(&old); err != nil {
 		t.Fatal(err)
 	}
 	m := BuildModel(def, 5)
@@ -207,7 +194,7 @@ func TestModelFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(old.Bytes(), snap.Bytes()) {
-		t.Errorf("Model.Save bytes differ from SaveNet (%d vs %d bytes)", snap.Len(), old.Len())
+		t.Errorf("Model.Save bytes differ from Net.Save (%d vs %d bytes)", snap.Len(), old.Len())
 	}
 
 	reloaded, err := LoadModel(bytes.NewReader(snap.Bytes()))
